@@ -18,7 +18,8 @@ from .errors import (ConfigError, DurationRangeError, GridMismatchError,
                      UnphysicalDecompositionError, UnsupportedSpanError)
 from .output import OutputPair, assemble_outputs, semiclassical_output
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec,
-                     default_grid_for, load_pulse_file, sample_pulse)
+                     default_grid_for, drive_window, load_pulse_file,
+                     sample_pulse)
 from .signal import ComplexSignal, TimeGrid, inner_product, make_grid, norm_sq
 from .sweep import (PeakResult, PointSolution, SweepRow, find_peak_c12,
                     mode_shapes_at, run_point, solve_point, solve_spec, sweep)

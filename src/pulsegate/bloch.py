@@ -163,6 +163,9 @@ def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
 
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:
     """Run the full perturbative chain s1 -> sz2 -> s3."""
+    if b_in.grid.tail and params.gamma != 1.0:
+        raise GridMismatchError("a grid's free-decay tail relaxes at the unit rate; "
+                                f"gamma={params.gamma:g} needs a grid without one")
     s1 = linear_response(b_in, params)
     sz2 = second_order_excitation(s1)
     s3 = third_order_response(b_in, sz2, params)

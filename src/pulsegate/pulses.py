@@ -39,6 +39,11 @@ from .signal import ComplexSignal, TimeGrid, make_grid, norm_sq
 RISING_LEAD_FACTOR = 0.5 * math.log(1e10)  # 11.5129...
 SYM_EXP_EXTENT = 6.0   # +-6T: truncated tail weight 0.5*exp(-24) ~ 1.9e-11
 GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
+# The symmetric-exponential and gaussian formulas never reach zero; past
+# these multiples of T they are below 2^-53 of their peak, too small to
+# change any sum they enter.
+SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
+GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
 
 
 class PulseShape(str, enum.Enum):
@@ -146,6 +151,16 @@ class PulseSpec:
             return (-GAUSS_EXTENT * T, GAUSS_EXTENT * T)
         return (float(self.custom_t[0]), float(self.custom_t[-1]))
 
+    def drive_end(self) -> float:
+        """Last instant at which the sampled pulse can be nonzero in double
+        precision: the trailing edge of the rectangular and rising-exponential
+        pulses, the last custom sample."""
+        if self.shape is PulseShape.SYM_EXP:
+            return SYM_EXP_DRIVE_END * self.duration
+        if self.shape is PulseShape.GAUSSIAN:
+            return GAUSS_DRIVE_END * self.duration
+        return self.support()[1]
+
     def discontinuities(self) -> tuple[float, ...]:
         if self.shape is PulseShape.RECTANGULAR:
             return (-self.duration, 0.0)
@@ -221,6 +236,23 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
     return make_grid(t_start, t_start + (n - 1) * dt, n)
 
 
+def drive_window(spec: PulseSpec, grid: TimeGrid) -> TimeGrid:
+    """`grid` stored only up to its first node past spec.drive_end().
+
+    From that node on the pulse has passed and the dipole relaxes freely,
+    so the remaining nodes become the grid's free-decay tail. A pulse that
+    drives up to the grid end keeps the whole grid.
+    """
+    t_off = spec.drive_end()
+    total = grid.n + grid.tail
+    # start just below the estimate, then step to the first node strictly
+    # past t_off, with node times computed exactly as TimeGrid.times does
+    i = min(max(math.floor((t_off - grid.t_start) / grid.dt) - 1, 0), total)
+    while i < total and grid.t_start + grid.dt * i <= t_off:
+        i += 1
+    return grid.window(min(max(i + 1, 2), total))
+
+
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
     if shape is PulseShape.RECTANGULAR:
         v = np.where((t > -T) & (t < 0), 1.0 / math.sqrt(T), 0.0)
@@ -243,15 +275,17 @@ def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np
 def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
     """Evaluate the pulse on the grid.
 
-    Built-in shapes are evaluated pointwise from their defining formulas
-    (no renormalization). Custom samples are resampled onto the grid by
-    linear interpolation and renormalized to unit photon number.
+    Only the stored nodes are sampled. Built-in shapes are evaluated
+    pointwise from their defining formulas (no renormalization). Custom
+    samples are resampled onto the grid by linear interpolation and
+    renormalized to unit photon number.
     """
     lo, hi = spec.support()
     tol = 1e-9 * grid.dt
-    if grid.t_start > lo + tol or grid.t_end < hi - tol:
+    t_last = grid.t_start + (grid.n - 1) * grid.dt   # the tail carries no drive
+    if grid.t_start > lo + tol or t_last < hi - tol:
         raise UnsupportedSpanError(
-            f"grid [{grid.t_start:g}, {grid.t_end:g}] does not cover the "
+            f"grid [{grid.t_start:g}, {t_last:g}] does not cover the "
             f"pulse support [{lo:g}, {hi:g}]")
     t = grid.times()
     if spec.shape is PulseShape.CUSTOM:

@@ -6,20 +6,30 @@ photon amplitudes) once per duration. Points are independent pure
 computations evaluated in ascending order, which makes emitted tables
 bit-reproducible. The grid is re-derived per point from the policy so
 each point is converged on its own terms.
+
+Each point is solved on the drive window of its grid (pulses.drive_window):
+past the pulse every waveform is in free decay, which inner products sum
+in closed form to the grid end. Amplitude-only paths (sweeps, the peak
+search) never sample that ringdown; solve_spec fills it in afterwards so
+its waveforms cover the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
 from .bloch import SystemParams, solve_chain
 from .errors import DurationRangeError, NoPeakError, SolverError, UndefinedModeError
 from .output import OutputPair, assemble_outputs
-from .pulses import DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, default_grid_for, sample_pulse
+from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, default_grid_for,
+                     drive_window, sample_pulse)
 from .signal import ComplexSignal, TimeGrid
 from .twophoton import OutputDecomposition, LimitReport, decompose, limit_report
 
@@ -89,10 +99,11 @@ def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
     return PulseSpec(shape, float(gamma_t))
 
 
-def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
-    """Run the full pipeline for an already-built pulse spec."""
+def _solve_window(spec: PulseSpec, policy: GridPolicy) -> PointSolution:
+    """The pipeline on the drive window of the policy grid; the waveforms of
+    the result are stored up to the end of the drive only."""
     params = SystemParams()
-    grid = default_grid_for(spec, policy)
+    grid = drive_window(spec, default_grid_for(spec, policy))
     b_in = sample_pulse(spec, grid)
     chain = solve_chain(b_in, params)
     pair = assemble_outputs(b_in, chain, params)
@@ -101,6 +112,20 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
     return PointSolution(spec=spec, gamma_t=spec.duration, grid=grid, b_in=b_in,
                          pair=pair, decomposition=dec,
                          limit=limit_report(dec.overlap, dec.c12_sq))
+
+
+def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
+    """Run the full pipeline for an already-built pulse spec; every waveform
+    of the result is sampled on the whole policy grid."""
+    sol = _solve_window(spec, policy)
+    if sol.grid.tail == 0:
+        return sol
+    grid = sol.grid.filled()
+    dec = sol.decomposition
+    psi2 = dec.psi2.filled() if dec.psi2 is not None else None
+    return replace(sol, grid=grid, b_in=sample_pulse(spec, grid),
+                   pair=OutputPair(sol.pair.linear.filled(), sol.pair.cubic.filled()),
+                   decomposition=replace(dec, psi1=dec.psi1.filled(), psi2=psi2))
 
 
 def solve_point(shape: ShapeLike, gamma_t: float,
@@ -119,8 +144,8 @@ def _row_from(sol: PointSolution) -> SweepRow:
 
 def run_point(shape: ShapeLike, gamma_t: float,
               policy: GridPolicy = DEFAULT_POLICY) -> SweepRow:
-    """One sweep row: the amplitudes only, waveforms discarded."""
-    return _row_from(solve_point(shape, gamma_t, policy))
+    """One sweep row: the amplitudes only, the ringdown never sampled."""
+    return _row_from(_solve_window(_builtin_spec(_as_shape(shape), gamma_t), policy))
 
 
 def sweep_durations(gt_min: float, gt_max: float, n_points: int,
@@ -152,26 +177,21 @@ def sweep(shape: ShapeLike, gt_min: float = DEFAULT_SWEEP_RANGE[0],
     """
     gts = sweep_durations(gt_min, gt_max, n_points, log_spaced)
     tasks = [(shape, float(gt), policy) for gt in gts]
-    rows: list[SweepRow] = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(_iter_annotated(pool.map(_point_task, tasks), gts))
-    for task in tasks:
-        try:
-            rows.append(_point_task(task))
-        except SolverError as exc:
-            raise type(exc)(f"at gamma_t={task[1]:g}: {exc}") from exc
-    return rows
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_point_task, tasks)
+        return list(_iter_annotated(results, gts))
 
 
 def _iter_annotated(results, gts):
+    """Yield the results in order, naming the duration of a failed point."""
     it = iter(results)
     for gt in gts:
         try:
             yield next(it)
         except SolverError as exc:
             raise type(exc)(f"at gamma_t={gt:g}: {exc}") from exc
+        except BrokenProcessPool as exc:
+            raise SolverError(f"at gamma_t={gt:g}: a sweep worker process died ({exc})") from exc
 
 
 def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
@@ -213,10 +233,9 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
             ld = la + _GOLDEN * (lb - la)
             fd = value(math.exp(ld))
     gt_star = math.exp(0.5 * (la + lb))
-    sol = solve_point(shape, gt_star, policy)
-    return PeakResult(shape=shape, gamma_t_star=gt_star,
-                      c12_sq_star=sol.decomposition.c12_sq,
-                      c11_at_peak=sol.decomposition.c11)
+    row = run_point(shape, gt_star, policy)
+    return PeakResult(shape=shape, gamma_t_star=gt_star, c12_sq_star=row.c12_sq,
+                      c11_at_peak=complex(row.c11_re, row.c11_im))
 
 
 def mode_shapes_at(shape: ShapeLike, gamma_t: float,

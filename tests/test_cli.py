@@ -1,5 +1,10 @@
+import functools
+import importlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -103,6 +108,19 @@ class TestSweepCmd:
         run(*args, "--out", a)
         run(*args, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dead_worker_exits_3_naming_gamma_t(self, tmp_path, monkeypatch, capsys):
+        # forked workers inherit the patched run_point and die on their first point
+        sweep_module = importlib.import_module("pulsegate.sweep")
+        monkeypatch.setattr(sweep_module, "run_point", lambda *args: os._exit(1))
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--shape", "gauss", "--from", "0.5", "--to", "2",
+                   "--num", "3", "--workers", "2", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "at gamma_t=0.5:" in err and "worker process died" in err
+        assert not out.exists()
 
     def test_seventeen_digit_precision(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -142,3 +142,61 @@ class TestNormSq:
         g = make_grid(0, 3, 101)
         f = signal_on(g, lambda t: np.sin(t) + 1j * t)
         assert norm_sq(f.scaled(scale)) == pytest.approx(scale**2 * norm_sq(f), rel=1e-12)
+
+
+class TestFreeDecayTail:
+    """Unstored tail nodes sum exactly as the same signals filled in by hand."""
+
+    DT = 1e-3
+
+    def signals(self, n, m):
+        full = make_grid(0.0, (n + m - 1) * self.DT, n + m)
+        grid = full.window(n)
+        t = grid.times()
+        f = ComplexSignal(grid, (1 + 2j) * np.exp(-t) + np.sin(7 * t))
+        h = ComplexSignal(grid, np.cos(3 * t) - 0.5j * t)
+        return full, f, h
+
+    @staticmethod
+    def by_hand(full, sig):
+        """The signal on the full grid, tail e^-(t - t_last) written out."""
+        t = full.times()
+        n = sig.grid.n
+        return np.concatenate([sig.values, sig.values[-1] * np.exp(-(t[n:] - t[n - 1]))])
+
+    @pytest.mark.parametrize("m", [0, 1, 100_000])
+    def test_matches_filled_trapezoid(self, m):
+        full, f, h = self.signals(2001, m)
+        a, b = self.by_hand(full, f), self.by_hand(full, h)
+        want = np.trapezoid(np.conj(a) * b, dx=full.dt)
+        want_nrm = np.trapezoid(np.abs(a) ** 2, dx=full.dt)
+        assert f.grid.tail == m
+        assert abs(inner_product(f, h) - want) <= 1e-13 * abs(want)
+        assert abs(norm_sq(f) - want_nrm) <= 1e-13 * want_nrm
+
+    def test_tail_stops_at_grid_end(self):
+        # a unit signal on [0, 1] whose tail runs 0.5 past it integrates to
+        # 1 + (1 - e^-1)/2, not to the 1.5 of a tail summed to infinity
+        full = make_grid(0.0, 1.5, 1501)
+        one = ComplexSignal(full.window(1001), np.ones(1001))
+        assert full.window(1001).tail == 500
+        assert norm_sq(one) == pytest.approx(1 + (1 - np.exp(-1)) / 2, rel=1e-6)
+        assert abs(norm_sq(one) - 1.5) > 0.1
+
+    def test_filled_samples_the_tail(self):
+        full, f, _ = self.signals(201, 50)
+        filled = f.filled()
+        assert filled.grid == full
+        np.testing.assert_allclose(filled.values, self.by_hand(full, f), rtol=1e-15, atol=0)
+        assert norm_sq(filled) == pytest.approx(norm_sq(f), rel=1e-13)
+
+    def test_window_and_filled_round_trip(self):
+        full = make_grid(-1.0, 4.0, 501)
+        w = full.window(100)
+        assert (w.n, w.tail, w.dt) == (100, 401, full.dt)
+        np.testing.assert_array_equal(w.times(), full.times()[:100])
+        assert w.filled() == full
+        with pytest.raises(InvalidRangeError):
+            full.window(1)
+        with pytest.raises(InvalidRangeError):
+            full.window(502)

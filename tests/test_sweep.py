@@ -1,11 +1,22 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsegate import (DurationRangeError, GridPolicy, NoPeakError,
+from pulsegate import (DEFAULT_POLICY, DurationRangeError, GridPolicy,
+                       NoPeakError, PulseShape, PulseSpec, assemble_outputs,
+                       decompose, default_grid_for, drive_window,
                        find_peak_c12, inner_product, mode_shapes_at, norm_sq,
-                       run_point, solve_point, sweep)
+                       run_point, sample_pulse, solve_chain, solve_point,
+                       solve_spec, sweep)
 
 import _oracles as orc
+
+# the package re-exports the sweep() function under the submodule's name
+sweep_module = importlib.import_module("pulsegate.sweep")
 
 # Peak table of this solver (validated against closed forms for the rising
 # exponential and against an independent adaptive integrator elsewhere).
@@ -109,6 +120,15 @@ class TestFindPeak:
         for factor in (0.98, 1.02):
             assert run_point("rect", res.gamma_t_star * factor).c12_sq <= res.c12_sq_star + 1e-9
 
+    def test_final_evaluation_is_the_amplitude_path(self, monkeypatch):
+        def no_waveforms(*args, **kwargs):
+            raise AssertionError("the peak search filled in waveforms")
+        monkeypatch.setattr(sweep_module, "solve_spec", no_waveforms)
+        res = find_peak_c12("gauss", policy=FAST)
+        row = run_point("gauss", res.gamma_t_star, FAST)
+        assert res.c12_sq_star == row.c12_sq
+        assert res.c11_at_peak == complex(row.c11_re, row.c11_im)
+
     def test_tail_bracket_has_no_peak(self):
         with pytest.raises(NoPeakError):
             find_peak_c12("gauss", bracket=(500.0, 1000.0), policy=FAST)
@@ -166,3 +186,81 @@ class TestConvergence:
         assert abs(coarse.c11_sq - fine.c11_sq) < 1e-4
         assert abs(coarse.c12_sq - fine.c12_sq) < 1e-4
         assert abs(coarse.cr_sq - fine.cr_sq) < 1e-4
+
+
+BUILTIN = ["rect", "rising-exp", "sym-exp", "gauss"]
+ROW_FIELDS = ("c11_re", "c11_im", "c11_sq", "c12_sq", "cr_sq", "overlap_re", "overlap_im")
+
+
+def full_grid_solution(spec, policy=DEFAULT_POLICY):
+    """The pipeline with every grid node stored, ringdown sampled."""
+    grid = default_grid_for(spec, policy)
+    b_in = sample_pulse(spec, grid)
+    pair = assemble_outputs(b_in, solve_chain(b_in))
+    return grid, b_in, pair, decompose(pair)
+
+
+def amplitudes(d):
+    return (d.c11.real, d.c11.imag, d.c11_sq, d.c12_sq, d.cr_sq,
+            d.overlap.real, d.overlap.imag)
+
+
+def custom_spec():
+    t = np.linspace(-2.0, 1.0, 301)
+    return PulseSpec.custom(t, np.exp(-t**2) * np.exp(0.3j * t))
+
+
+class TestDriveWindow:
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_window_ends_with_the_drive(self, shape):
+        spec = PulseSpec(PulseShape(shape), 0.3)
+        grid = default_grid_for(spec)
+        w = drive_window(spec, grid)
+        assert w.tail > 0 and w.filled() == grid
+        t = grid.times()
+        assert t[w.n - 2] <= spec.drive_end() < t[w.n - 1]
+        b = np.abs(sample_pulse(spec, grid).values)
+        assert b[w.n - 1:].max() <= 2.0**-53 * b.max()
+
+    def test_window_never_passes_the_grid_end(self):
+        spec = PulseSpec.gaussian(1000.0)
+        grid = default_grid_for(spec)
+        assert spec.drive_end() > grid.t_end
+        assert drive_window(spec, grid) == grid
+
+    @pytest.mark.parametrize("gt", [0.01, 0.3, 1.0, 30.0])
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_run_point_matches_full_grid(self, shape, gt):
+        row = run_point(shape, gt)
+        *_, ref = full_grid_solution(PulseSpec(PulseShape(shape), gt))
+        assert row.gamma_t == gt
+        np.testing.assert_allclose([getattr(row, f) for f in ROW_FIELDS],
+                                   amplitudes(ref), rtol=0, atol=1e-12)
+
+    def test_custom_pulse_matches_full_grid(self):
+        spec = custom_spec()
+        *_, ref = full_grid_solution(spec)
+        got = solve_spec(spec).decomposition
+        np.testing.assert_allclose(amplitudes(got), amplitudes(ref), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [PulseSpec.rectangular(0.3), custom_spec()],
+                             ids=["rect", "custom"])
+    def test_solve_spec_waveforms_cover_the_grid(self, spec):
+        sol = solve_spec(spec)
+        grid, b_in, pair, dec = full_grid_solution(spec)
+        assert drive_window(spec, grid).tail > 0
+        assert sol.grid == grid
+        np.testing.assert_array_equal(sol.b_in.values, b_in.values)
+        for got, ref in ((sol.pair.linear, pair.linear), (sol.pair.cubic, pair.cubic),
+                         (sol.decomposition.psi1, dec.psi1),
+                         (sol.decomposition.psi2, dec.psi2)):
+            assert got.grid == grid
+            np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+
+    @given(log_gt=st.floats(math.log10(0.01), math.log10(100.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_rising_exp_closed_form(self, log_gt):
+        gt = 10.0 ** log_gt
+        row = run_point("rising-exp", gt)
+        assert abs(row.c12_sq - orc.rising_c12_sq(gt)) <= 1e-5
+        assert abs(complex(row.overlap_re, row.overlap_im) - orc.rising_overlap(gt)) <= 1e-5
