@@ -85,16 +85,27 @@ def _etd_weights(rate: float, h: float) -> tuple[float, float, float]:
     return float(E), float(w0), float(w1)
 
 
-def _decay_core(x: np.ndarray, rate: float, dt: float) -> np.ndarray:
-    """Recurrence s_{n+1} = E s_n + w0 x_n + w1 x_{n+1} over one real (or
-    complex) drive array, s_0 = 0."""
+def decay_block(x: np.ndarray, rate: float, dt: float, x_prev, s_prev) -> np.ndarray:
+    """The recurrence s_{n+1} = E s_n + w0 x_n + w1 x_{n+1} of
+    d s/dt = -rate*s + x(t) over one block of drive samples x, continuing
+    from the drive x_prev and the state s_prev at the node before the block.
+
+    Chaining blocks, each fed the last drive sample and state of the one
+    before, reproduces the recurrence over the joined array bit for bit.
+    """
     E, w0, w1 = _etd_weights(rate, dt)
-    g = w0 * x[:-1]
-    g += w1 * x[1:]
-    y = lfilter([1.0], [1.0, -E], g)
-    out = np.empty(len(x), dtype=y.dtype)
+    g = w1 * x
+    g[0] += w0 * x_prev
+    g[1:] += w0 * x[:-1]
+    return lfilter([1.0], [1.0, -E], g, zi=[E * s_prev])[0]
+
+
+def _decay_core(x: np.ndarray, rate: float, dt: float) -> np.ndarray:
+    """The recurrence over one whole real (or complex) drive array, s_0 = 0:
+    a single block after the initial node."""
+    out = np.empty(len(x), dtype=np.result_type(x, np.float64))
     out[0] = 0.0
-    out[1:] = y
+    out[1:] = decay_block(x[1:], rate, dt, x[0], 0.0)
     return out
 
 

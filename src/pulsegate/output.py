@@ -41,12 +41,17 @@ def assemble_outputs(b_in: ComplexSignal, chain: ResponseChain,
     rt2g = np.sqrt(2 * params.gamma)
     b1 = ComplexSignal(b_in.grid, b_in.values + 1j * rt2g * chain.first_order.values)
     b3 = ComplexSignal(b_in.grid, 1j * rt2g * chain.third_order.values)
-    n1 = norm_sq(b1)
+    check_linear_norm(norm_sq(b1))
+    return OutputPair(b1, b3)
+
+
+def check_linear_norm(n1: float) -> None:
+    """Raise NormViolationError unless the linear output norm n1 = ||b1||^2
+    is 1 within NORM_TOLERANCE."""
     if abs(n1 - 1.0) > NORM_TOLERANCE:
         raise NormViolationError(
             f"linear output norm {n1:.8f} deviates from 1 beyond {NORM_TOLERANCE:g}; "
             "grid span or step is inadequate for this pulse")
-    return OutputPair(b1, b3)
 
 
 def semiclassical_output(pair: OutputPair, alpha: complex) -> ComplexSignal:

@@ -73,8 +73,9 @@ class GridPolicy:
     def step_for(self, duration: float, refine: int = 1) -> float:
         if self.samples_per_unit < 2:
             raise ConfigError(f"samples_per_unit={self.samples_per_unit} too small")
-        if self.lead_pad < 0 or self.tail <= 0:
-            raise ConfigError("lead_pad must be >= 0 and tail > 0")
+        if not (0 <= self.lead_pad < math.inf and 0 < self.tail < math.inf):
+            raise ConfigError("lead_pad must be finite and >= 0, tail finite and > 0; "
+                              f"got lead_pad={self.lead_pad}, tail={self.tail}")
         return min(duration, 3.0) / (self.samples_per_unit * refine)
 
 
@@ -272,6 +273,18 @@ def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np
     raise ValueError(shape)
 
 
+def check_span(spec: PulseSpec, grid: TimeGrid) -> None:
+    """Raise UnsupportedSpanError unless the stored nodes of the grid cover
+    the pulse support (the tail carries no drive)."""
+    lo, hi = spec.support()
+    tol = 1e-9 * grid.dt
+    t_last = grid.t_start + (grid.n - 1) * grid.dt
+    if grid.t_start > lo + tol or t_last < hi - tol:
+        raise UnsupportedSpanError(
+            f"grid [{grid.t_start:g}, {t_last:g}] does not cover the "
+            f"pulse support [{lo:g}, {hi:g}]")
+
+
 def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
     """Evaluate the pulse on the grid.
 
@@ -280,13 +293,7 @@ def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
     samples are resampled onto the grid by linear interpolation and
     renormalized to unit photon number.
     """
-    lo, hi = spec.support()
-    tol = 1e-9 * grid.dt
-    t_last = grid.t_start + (grid.n - 1) * grid.dt   # the tail carries no drive
-    if grid.t_start > lo + tol or t_last < hi - tol:
-        raise UnsupportedSpanError(
-            f"grid [{grid.t_start:g}, {t_last:g}] does not cover the "
-            f"pulse support [{lo:g}, {hi:g}]")
+    check_span(spec, grid)
     t = grid.times()
     if spec.shape is PulseShape.CUSTOM:
         re = np.interp(t, spec.custom_t, spec.custom_values.real, left=0.0, right=0.0)

@@ -37,9 +37,10 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / (self.n + self.tail - 1)
 
-    def times(self) -> np.ndarray:
-        """Times of the stored nodes."""
-        return self.t_start + self.dt * np.arange(self.n)
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Times of the stored nodes start..stop-1, all of them by default."""
+        stop = self.n if stop is None else min(stop, self.n)
+        return self.t_start + self.dt * np.arange(start, stop)
 
     def window(self, n: int) -> "TimeGrid":
         """This grid with only its first n nodes stored, the rest a tail."""
@@ -84,14 +85,9 @@ class ComplexSignal:
             v = v.astype(np.complex128)
         if v.ndim != 1 or len(v) != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if len(v) < 100_000:
-            finite = bool(np.isfinite(v).all())
-        else:
-            # single BLAS pass; NaN/inf poison the sum (values here are O(1),
-            # so the sum of squares cannot overflow on its own)
-            finite = bool(np.isfinite(np.vdot(v, v).real))
-        if not finite:
-            raise ValueError("signal contains NaN or infinite samples")
+        # past 100k samples a single BLAS pass: NaN/inf poison the sum (values
+        # here are O(1), so the sum of squares cannot overflow on its own)
+        require_finite(v if len(v) < 100_000 else np.vdot(v, v))
         object.__setattr__(self, "values", v)
 
     def times(self) -> np.ndarray:
@@ -111,6 +107,13 @@ class ComplexSignal:
         np.exp(-grid.dt * np.arange(1, grid.tail + 1), out=tail)
         tail *= v[-1]
         return ComplexSignal(grid.filled(), out)
+
+
+def require_finite(x) -> None:
+    """Raise ValueError unless every entry of x is finite. Given a sum over
+    samples instead of the samples, this catches any NaN or infinite one."""
+    if not np.isfinite(x).all():
+        raise ValueError("signal contains NaN or infinite samples")
 
 
 def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:

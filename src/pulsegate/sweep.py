@@ -9,9 +9,13 @@ each point is converged on its own terms.
 
 Each point is solved on the drive window of its grid (pulses.drive_window):
 past the pulse every waveform is in free decay, which inner products sum
-in closed form to the grid end. Amplitude-only paths (sweeps, the peak
-search) never sample that ringdown; solve_spec fills it in afterwards so
-its waveforms cover the whole grid.
+in closed form to the grid end. The amplitude-only path (run_point, which
+sweeps and the peak search use) streams the window through blocks of
+BLOCK_NODES nodes and keeps only the three overlap integrals the
+amplitudes need, so its memory does not grow with the grid. solve_spec
+stores every waveform and fills the ringdown in afterwards, so its
+waveforms cover the whole grid; it refuses grids above
+WAVEFORM_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -25,16 +29,25 @@ from typing import Union
 
 import numpy as np
 
-from .bloch import SystemParams, solve_chain
-from .errors import DurationRangeError, NoPeakError, SolverError, UndefinedModeError
-from .output import OutputPair, assemble_outputs
-from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, default_grid_for,
-                     drive_window, sample_pulse)
-from .signal import ComplexSignal, TimeGrid
-from .twophoton import OutputDecomposition, LimitReport, decompose, limit_report
+from .bloch import SystemParams, _decay_core, decay_block, solve_chain
+from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
+                     UndefinedModeError)
+from .output import OutputPair, assemble_outputs, check_linear_norm
+from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin_values,
+                     check_span, default_grid_for, drive_window, sample_pulse)
+from .signal import ComplexSignal, TimeGrid, _last_weight, require_finite
+from .twophoton import (OutputDecomposition, LimitReport, c12_sq_from, compute_cr_sq,
+                        decompose, limit_report)
 
 GAMMA_T_MIN = 1e-3
 GAMMA_T_MAX = 1e4
+
+# Nodes per block of run_point's streamed solve: the dozen block-long
+# arrays alive at once stay in cache, whatever the grid's length.
+BLOCK_NODES = 16384
+# solve_spec stores about ten waveforms of 8-16 bytes per node: 2**24 nodes
+# is about 1.5 GB, the most a 2-core / 7 GB machine is asked to hold.
+WAVEFORM_NODE_BUDGET = 2**24
 
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
@@ -99,33 +112,36 @@ def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
     return PulseSpec(shape, float(gamma_t))
 
 
-def _solve_window(spec: PulseSpec, policy: GridPolicy) -> PointSolution:
-    """The pipeline on the drive window of the policy grid; the waveforms of
-    the result are stored up to the end of the drive only."""
+def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
+    """Run the full pipeline for an already-built pulse spec; every waveform
+    of the result is sampled on the whole policy grid.
+
+    The pipeline runs on the drive window of the grid; the ringdown past it
+    is filled in afterwards. A grid over WAVEFORM_NODE_BUDGET nodes raises
+    ConfigError before anything is sampled.
+    """
+    full = default_grid_for(spec, policy)
+    nodes = full.n + full.tail
+    if nodes > WAVEFORM_NODE_BUDGET:
+        raise ConfigError(
+            f"the waveform grid has {nodes} nodes, over the budget of "
+            f"{WAVEFORM_NODE_BUDGET}; use fewer points per unit, or the "
+            "amplitude-only sweep and peak, which solve any grid in bounded memory")
     params = SystemParams()
-    grid = drive_window(spec, default_grid_for(spec, policy))
+    grid = drive_window(spec, full)
     b_in = sample_pulse(spec, grid)
     chain = solve_chain(b_in, params)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them
     dec = decompose(pair)
-    return PointSolution(spec=spec, gamma_t=spec.duration, grid=grid, b_in=b_in,
-                         pair=pair, decomposition=dec,
-                         limit=limit_report(dec.overlap, dec.c12_sq))
-
-
-def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
-    """Run the full pipeline for an already-built pulse spec; every waveform
-    of the result is sampled on the whole policy grid."""
-    sol = _solve_window(spec, policy)
-    if sol.grid.tail == 0:
-        return sol
-    grid = sol.grid.filled()
-    dec = sol.decomposition
-    psi2 = dec.psi2.filled() if dec.psi2 is not None else None
-    return replace(sol, grid=grid, b_in=sample_pulse(spec, grid),
-                   pair=OutputPair(sol.pair.linear.filled(), sol.pair.cubic.filled()),
-                   decomposition=replace(dec, psi1=dec.psi1.filled(), psi2=psi2))
+    limit = limit_report(dec.overlap, dec.c12_sq)
+    if grid.tail:
+        b_in = sample_pulse(spec, full)
+        pair = OutputPair(pair.linear.filled(), pair.cubic.filled())
+        dec = replace(dec, psi1=dec.psi1.filled(),
+                      psi2=dec.psi2.filled() if dec.psi2 is not None else None)
+    return PointSolution(spec=spec, gamma_t=spec.duration, grid=full, b_in=b_in,
+                         pair=pair, decomposition=dec, limit=limit)
 
 
 def solve_point(shape: ShapeLike, gamma_t: float,
@@ -134,18 +150,61 @@ def solve_point(shape: ShapeLike, gamma_t: float,
     return solve_spec(_builtin_spec(_as_shape(shape), gamma_t), policy)
 
 
-def _row_from(sol: PointSolution) -> SweepRow:
-    d = sol.decomposition
-    return SweepRow(gamma_t=sol.gamma_t,
-                    c11_re=d.c11.real, c11_im=d.c11.imag,
-                    c11_sq=d.c11_sq, c12_sq=d.c12_sq, cr_sq=d.cr_sq,
-                    overlap_re=d.overlap.real, overlap_im=d.overlap.imag)
+def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
+    """Trapezoid Gram matrix of the outputs of a built-in pulse on `grid`,
+    [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]], tail included.
+
+    The chain runs block by block over the stored nodes: the pulse is
+    sampled at the block's node times, s1 = i u and s3 = i w follow from
+    the ETD recurrence carried over from the block before (all real on
+    resonance), and the block's b1 = b - sqrt(2) u and b3 = -sqrt(2) w only
+    add to the running sums. Every node value is bitwise the one the array
+    pipeline computes; only the summation order differs.
+    """
+    check_span(spec, grid)
+    dt = grid.dt
+    rt2 = math.sqrt(2.0)
+    gram = np.zeros((2, 2))
+    for a in range(0, grid.n, BLOCK_NODES):
+        b = _builtin_values(spec.shape, spec.duration, grid.times(a, a + BLOCK_NODES), dt)
+        x1 = rt2 * b
+        u = (_decay_core(x1, 1.0, dt) if a == 0
+             else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
+        x3 = -2.0 * rt2 * b
+        x3 *= u * u
+        w = (_decay_core(x3, 1.0, dt) if a == 0
+             else decay_block(x3, 1.0, dt, x3_prev, w[-1]))
+        x1_prev, x3_prev = x1[-1], x3[-1]
+        b1 = u * -rt2
+        b1 += b
+        b3 = w * -rt2
+        # einsum, not BLAS: OpenBLAS threads dot products past 10k samples,
+        # which stalls when sweep workers already occupy every core
+        d13 = np.einsum("i,i", b1, b3)
+        gram += ((np.einsum("i,i", b1, b1), d13), (d13, np.einsum("i,i", b3, b3)))
+        if a == 0:
+            first = np.array((b1[0], b3[0]))
+    last = np.array((b1[-1], b3[-1]))
+    gram -= 0.5 * np.outer(first, first) + (1.0 - _last_weight(grid)) * np.outer(last, last)
+    gram *= dt
+    require_finite(gram)
+    return gram
 
 
 def run_point(shape: ShapeLike, gamma_t: float,
               policy: GridPolicy = DEFAULT_POLICY) -> SweepRow:
-    """One sweep row: the amplitudes only, the ringdown never sampled."""
-    return _row_from(_solve_window(_builtin_spec(_as_shape(shape), gamma_t), policy))
+    """One sweep row: the amplitudes only, streamed through blocks of the
+    drive window, so memory stays bounded over the whole gamma_t range."""
+    spec = _builtin_spec(_as_shape(shape), gamma_t)
+    gram = _output_gram(spec, drive_window(spec, default_grid_for(spec, policy)))
+    n1 = float(gram[0, 0])
+    check_linear_norm(n1)
+    v = complex(gram[0, 1] / math.sqrt(n1))    # <psi1|b3>, psi1 = b1 / sqrt(n1)
+    c11 = 1 + v
+    c12_sq = c12_sq_from(float(gram[1, 1]), c11)
+    return SweepRow(gamma_t=spec.duration, c11_re=c11.real, c11_im=c11.imag,
+                    c11_sq=abs(c11) ** 2, c12_sq=c12_sq, cr_sq=compute_cr_sq(c11, c12_sq),
+                    overlap_re=v.real, overlap_im=v.imag)
 
 
 def sweep_durations(gt_min: float, gt_max: float, n_points: int,

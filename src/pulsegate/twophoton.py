@@ -90,13 +90,18 @@ def compute_c11(pair: OutputPair) -> complex:
 
 
 def compute_c12_sq(pair: OutputPair, c11: complex) -> float:
-    """Photon-transfer probability c12^2 = 2 (|b3|^2 integral - |c11 - 1|^2).
+    """Photon-transfer probability c12^2 = 2 (|b3|^2 integral - |c11 - 1|^2)."""
+    return c12_sq_from(norm_sq(pair.cubic), c11)
+
+
+def c12_sq_from(b3_norm_sq: float, c11: complex) -> float:
+    """c12^2 = 2 (||b3||^2 - |c11 - 1|^2) from the cubic output's norm.
 
     Tiny negative results (rounding) clamp to zero; a genuinely negative
     value or c11_sq + c12_sq > 1 marks inconsistent inputs.
     """
     v_sq = abs(c11 - 1) ** 2
-    c12_sq = 2 * (norm_sq(pair.cubic) - v_sq)
+    c12_sq = 2 * (b3_norm_sq - v_sq)
     if c12_sq < 0:
         if c12_sq < -CLAMP_NEGATIVE:
             raise UnphysicalDecompositionError(

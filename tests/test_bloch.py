@@ -10,6 +10,7 @@ from pulsegate import (ComplexSignal, GridPolicy, IllConditionedFitError,
                        perturbative_extraction, sample_pulse,
                        second_order_excitation, solve_chain,
                        third_order_response)
+from pulsegate.bloch import decay_block
 
 import _oracles as orc
 
@@ -55,6 +56,16 @@ class TestLinearResponse:
         lhs = linear_response(b.scaled(c)).values
         rhs = c * linear_response(b).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
+    def test_chained_blocks_are_bitwise_the_whole_array(self, block):
+        b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
+        x = np.sqrt(2.0) * b.values
+        u = linear_response(b).values.imag       # s1 = i u for a real pulse
+        got = [0.0]
+        for a in range(1, len(x), block):
+            got.extend(decay_block(x[a:a + block], 1.0, b.grid.dt, x[a - 1], got[-1]))
+        np.testing.assert_array_equal(got, u)
 
     def test_causality(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 1.0)

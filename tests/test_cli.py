@@ -82,6 +82,14 @@ class TestRespond:
         assert run("respond", "--shape", "gauss", "--gamma-t", "1",
                    "--out", tmp_path / "x", "--tail", "0.5") == 3
 
+    def test_grid_over_the_node_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        sweep_module = importlib.import_module("pulsegate.sweep")
+        monkeypatch.setattr(sweep_module, "WAVEFORM_NODE_BUDGET", 1000)
+        out = tmp_path / "r"
+        assert run("respond", "--shape", "gauss", "--gamma-t", "1", "--out", out) == 2
+        assert "budget of 1000" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestSweepCmd:
     def test_small_sweep_csv(self, tmp_path):
@@ -122,6 +130,10 @@ class TestSweepCmd:
         assert "at gamma_t=0.5:" in err and "worker process died" in err
         assert not out.exists()
 
+    def test_truncated_tail_exits_3(self, tmp_path):
+        assert run("sweep", "--shape", "gauss", "--from", "0.5", "--to", "2",
+                   "--num", "3", "--tail", "0.5", "--out", tmp_path / "s.csv") == 3
+
     def test_seventeen_digit_precision(self, tmp_path):
         out = tmp_path / "s.csv"
         run("sweep", "--shape", "gauss", "--from", "0.5", "--to", "5",
@@ -140,6 +152,12 @@ class TestPeakCmd:
         assert float(rec["gamma_t_star"]) == pytest.approx(1.0, rel=2e-3)
         assert float(rec["c12_sq_star"]) == pytest.approx(2 / 3, abs=1e-4)
         assert abs(float(rec["c11_at_peak_re"])) < 1e-3
+
+    @pytest.mark.parametrize("flag", ["--tail", "--lead-pad"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid_flag_exits_2(self, flag, value, capsys):
+        assert run("peak", "--shape", "gauss", flag, value) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_tail_bracket_exits_4(self):
         assert run("peak", "--shape", "gauss", "--from", "500", "--to", "1000",

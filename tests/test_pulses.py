@@ -138,6 +138,13 @@ class TestGrids:
         with pytest.raises(ConfigError):
             default_grid_for(PulseSpec.gaussian(1.0), GridPolicy(tail=0.0))
 
+    @pytest.mark.parametrize("field", ["tail", "lead_pad"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_policy_rejected(self, field, value):
+        from pulsegate import ConfigError
+        with pytest.raises(ConfigError, match="must be finite"):
+            GridPolicy(**{field: value}).step_for(1.0)
+
     def test_bad_duration_rejected(self):
         from pulsegate import ConfigError
         with pytest.raises(ConfigError):

@@ -35,6 +35,13 @@ class TestMakeGrid:
         g = make_grid(-2.0, 3.0, 11)
         np.testing.assert_allclose(g.times(), -2.0 + 0.5 * np.arange(11))
 
+    def test_node_range_times_are_bitwise_the_full_ones(self):
+        g = make_grid(-1.3, 7.1, 100_003).window(70_001)
+        t = g.times()
+        assert len(t) == g.n
+        for start, stop in ((0, 7), (5, 16389), (69_990, 70_001), (69_995, 80_000)):
+            np.testing.assert_array_equal(g.times(start, stop), t[start:stop])
+
 
 class TestComplexSignal:
     def test_length_mismatch_rejected(self):

@@ -1,13 +1,21 @@
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import (DEFAULT_POLICY, DurationRangeError, GridPolicy,
-                       NoPeakError, PulseShape, PulseSpec, assemble_outputs,
+import pulsegate
+from pulsegate import (DEFAULT_POLICY, ConfigError, DurationRangeError, GridPolicy,
+                       NoPeakError, NormViolationError, PulseShape, PulseSpec,
+                       assemble_outputs,
                        decompose, default_grid_for, drive_window,
                        find_peak_c12, inner_product, mode_shapes_at, norm_sq,
                        run_point, sample_pulse, solve_chain, solve_point,
@@ -228,7 +236,7 @@ class TestDriveWindow:
         assert spec.drive_end() > grid.t_end
         assert drive_window(spec, grid) == grid
 
-    @pytest.mark.parametrize("gt", [0.01, 0.3, 1.0, 30.0])
+    @pytest.mark.parametrize("gt", [0.01, 0.3, 1.0, 30.0, 300.0])
     @pytest.mark.parametrize("shape", BUILTIN)
     def test_run_point_matches_full_grid(self, shape, gt):
         row = run_point(shape, gt)
@@ -264,3 +272,111 @@ class TestDriveWindow:
         row = run_point("rising-exp", gt)
         assert abs(row.c12_sq - orc.rising_c12_sq(gt)) <= 1e-5
         assert abs(complex(row.overlap_re, row.overlap_im) - orc.rising_overlap(gt)) <= 1e-5
+
+
+def row_fields(row):
+    return [getattr(row, f) for f in ROW_FIELDS]
+
+
+def largest_divisor(n):
+    """The largest proper divisor of n above 1, or n itself when n is prime."""
+    return next((d for d in range(n // 2, 1, -1) if n % d == 0), n)
+
+
+class TestStreamedSolve:
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_block_size_invariance(self, shape, monkeypatch):
+        ref = run_point(shape, 1.0)
+        spec = PulseSpec(PulseShape(shape), 1.0)
+        n = drive_window(spec, default_grid_for(spec)).n
+        exact, plus_one = largest_divisor(n), largest_divisor(n - 1)
+        assert n % exact == 0 and n % plus_one == 1
+        for block in (7, 1000, n, exact, plus_one):
+            monkeypatch.setattr(sweep_module, "BLOCK_NODES", block)
+            np.testing.assert_allclose(row_fields(run_point(shape, 1.0)), row_fields(ref),
+                                       rtol=0, atol=1e-13, err_msg=f"block of {block}")
+
+    def test_memory_stays_within_a_few_blocks(self):
+        run_point("sym-exp", 1000.0)        # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            run_point("sym-exp", 1000.0)    # an 8M-node window
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * sweep_module.BLOCK_NODES * 8
+
+    def test_truncated_tail_raises_norm_violation(self):
+        policy = GridPolicy(samples_per_unit=2000, tail=0.5)
+        with pytest.raises(NormViolationError):
+            solve_point("gauss", 1.0, policy)
+        with pytest.raises(NormViolationError):
+            run_point("gauss", 1.0, policy)
+
+    def test_non_finite_samples_rejected(self, monkeypatch):
+        def poisoned(shape, T, t, dt):
+            v = np.ones(len(t))
+            v[len(t) // 2] = np.nan
+            return v
+        monkeypatch.setattr(sweep_module, "_builtin_values", poisoned)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            run_point("gauss", 1.0)
+
+
+# Runs in a fresh interpreter, whose peak resident set is the solves' own.
+# It reads VmHWM, not ru_maxrss: Linux carries ru_maxrss over fork and exec,
+# so a child of this test process would report the test process's peak.
+RANGE_ENDS_SCRIPT = """
+import json, time
+from pulsegate import run_point
+rows = []
+for shape in ("rect", "rising-exp", "sym-exp", "gauss"):
+    for gt in (1e-3, 1e4):
+        t0 = time.perf_counter()
+        r = run_point(shape, gt)
+        rows.append([shape, gt, time.perf_counter() - t0, r.c12_sq, r.overlap_re, r.overlap_im])
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"rows": rows, "peak_rss_mb": hwm_kb / 1024}))
+"""
+
+
+def test_range_ends_in_bounded_memory():
+    src = str(Path(pulsegate.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", RANGE_ENDS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for shape, gt, seconds, c12_sq, ov_re, ov_im in out["rows"]:
+        print(f"run_point({shape}, {gt:g}): {seconds * 1e3:.0f} ms")
+        if shape == "rising-exp":
+            assert abs(c12_sq - orc.rising_c12_sq(gt)) <= 1e-5
+            assert abs(complex(ov_re, ov_im) - orc.rising_overlap(gt)) <= 1e-5
+    print(f"peak RSS {out['peak_rss_mb']:.0f} MB")
+    assert out["peak_rss_mb"] < 200
+
+
+class TestWaveformNodeBudget:
+    def test_range_end_exceeds_the_budget(self):
+        # default_grid_for is arithmetic on the policy: no samples are made
+        tracemalloc.start()
+        try:
+            long = default_grid_for(PulseSpec.symmetric_exponential(1e4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert long.n + long.tail > sweep_module.WAVEFORM_NODE_BUDGET
+        grid = default_grid_for(PulseSpec.symmetric_exponential(1000.0))
+        assert grid.n + grid.tail <= sweep_module.WAVEFORM_NODE_BUDGET
+
+    def test_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a refused grid was sampled")
+        monkeypatch.setattr(sweep_module, "sample_pulse", no_sampling)
+        monkeypatch.setattr(sweep_module, "WAVEFORM_NODE_BUDGET", 1000)
+        grid = default_grid_for(PulseSpec.gaussian(1.0))
+        with pytest.raises(ConfigError, match=f"{grid.n + grid.tail} nodes.*budget of 1000"):
+            solve_point("gauss", 1.0)
