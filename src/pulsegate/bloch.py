@@ -101,7 +101,7 @@ def decay_block(x: np.ndarray, rate: float, dt: float, x_prev, s_prev) -> np.nda
 
 
 def _decay_core(x: np.ndarray, rate: float, dt: float) -> np.ndarray:
-    """The recurrence over one whole real (or complex) drive array, s_0 = 0:
+    """The recurrence over one whole real or complex drive array, s_0 = 0:
     a single block after the initial node."""
     out = np.empty(len(x), dtype=np.result_type(x, np.float64))
     out[0] = 0.0
@@ -110,66 +110,38 @@ def _decay_core(x: np.ndarray, rate: float, dt: float) -> np.ndarray:
 
 
 def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
-    """Integrate d s/dt = -rate*s + drive(t) with s(t_start) = 0.
-
-    Real and imaginary parts decouple; identically-zero parts are skipped,
-    which keeps every resonant real-pulse case in real arithmetic.
-    """
-    v = drive.values
-    dt = drive.grid.dt
-    if not np.iscomplexobj(v):
-        return ComplexSignal(drive.grid, _decay_core(v, rate, dt))
-    re, im = v.real, v.imag
-    has_re = bool(re.any())
-    has_im = bool(im.any())
-    if has_re and has_im:
-        out = _decay_core(np.ascontiguousarray(re), rate, dt).astype(complex)
-        out += 1j * _decay_core(np.ascontiguousarray(im), rate, dt)
-    elif has_re:
-        out = _decay_core(np.ascontiguousarray(re), rate, dt)
-    elif has_im:
-        out = 1j * _decay_core(np.ascontiguousarray(im), rate, dt)
-    else:
-        out = np.zeros(drive.grid.n)
-    return ComplexSignal(drive.grid, out)
+    """Integrate d s/dt = -rate*s + drive(t) with s(t_start) = 0, in the
+    drive's own dtype (the rate is real, so real and imaginary parts
+    decouple and a real drive stays in real arithmetic)."""
+    return ComplexSignal(drive.grid, _decay_core(drive.values, rate, drive.grid.dt))
 
 
 def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ComplexSignal:
-    """First-order dipole s1: causal response i sqrt(2 Gamma)
-    integral exp(-Gamma (t-s)) b_in(s) ds."""
+    """First-order dipole s1 = i u: causal response i sqrt(2 Gamma)
+    integral exp(-Gamma (t-s)) b_in(s) ds. u is integrated without the
+    factor i, so a real pulse runs in real arithmetic."""
     g = params.gamma
-    v = b_in.values
-    if not np.iscomplexobj(v):
-        # real pulse: the drive is purely imaginary, integrate it as such
-        u = _decay_core(np.sqrt(2 * g) * v, g, b_in.grid.dt)
-        return ComplexSignal(b_in.grid, 1j * u)
-    drive = ComplexSignal(b_in.grid, 1j * np.sqrt(2 * g) * v)
-    return decaying_response(drive, g)
+    u = _decay_core(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt)
+    return ComplexSignal(b_in.grid, 1j * u)
 
 
 def second_order_excitation(sigma1: ComplexSignal) -> ComplexSignal:
     """Excitation sz2 = |s1|^2 (the sz equation at order |a|^2 is solved
     exactly by the squared magnitude of the first-order dipole)."""
     v = sigma1.values
-    if np.iscomplexobj(v):
-        return ComplexSignal(sigma1.grid, v.real**2 + v.imag**2)
-    return ComplexSignal(sigma1.grid, v * v)
+    return ComplexSignal(sigma1.grid, (v * v.conj()).real)
 
 
 def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
                          params: SystemParams = SystemParams()) -> ComplexSignal:
-    """Third-order dipole s3: linear response to the saturation drive
-    -2 b_in sz2 (the excited fraction blocks absorption, hence the sign)."""
+    """Third-order dipole s3 = i w: linear response to the saturation drive
+    -2 b_in sz2 (the excited fraction blocks absorption, hence the sign),
+    with w integrated without the factor i like s1's u."""
     if b_in.grid != sigmaz2.grid:
         raise GridMismatchError("b_in and sigmaz2 must share a grid")
     g = params.gamma
-    bv = b_in.values
-    zv = sigmaz2.values.real if np.iscomplexobj(sigmaz2.values) else sigmaz2.values
-    if not np.iscomplexobj(bv):
-        w = _decay_core(-2 * np.sqrt(2 * g) * bv * zv, g, b_in.grid.dt)
-        return ComplexSignal(b_in.grid, 1j * w)
-    drive = ComplexSignal(b_in.grid, -2j * np.sqrt(2 * g) * bv * zv)
-    return decaying_response(drive, g)
+    x = -2 * np.sqrt(2 * g) * b_in.values * sigmaz2.values.real
+    return ComplexSignal(b_in.grid, 1j * _decay_core(x, g, b_in.grid.dt))
 
 
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:

@@ -162,13 +162,6 @@ class PulseSpec:
             return GAUSS_DRIVE_END * self.duration
         return self.support()[1]
 
-    def discontinuities(self) -> tuple[float, ...]:
-        if self.shape is PulseShape.RECTANGULAR:
-            return (-self.duration, 0.0)
-        if self.shape is PulseShape.RISING_EXP:
-            return (0.0,)
-        return ()
-
 
 def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a sampled pulse: one sample per line, whitespace- or
@@ -296,12 +289,7 @@ def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
     check_span(spec, grid)
     t = grid.times()
     if spec.shape is PulseShape.CUSTOM:
-        re = np.interp(t, spec.custom_t, spec.custom_values.real, left=0.0, right=0.0)
-        if np.iscomplexobj(spec.custom_values):
-            im = np.interp(t, spec.custom_t, spec.custom_values.imag, left=0.0, right=0.0)
-            vals = re + 1j * im
-        else:
-            vals = re
+        vals = np.interp(t, spec.custom_t, spec.custom_values, left=0.0, right=0.0)
         sig = ComplexSignal(grid, vals)
         nrm = norm_sq(sig)
         if nrm <= 0:

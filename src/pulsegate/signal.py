@@ -70,10 +70,10 @@ class ComplexSignal:
     """Complex waveform sampled on a TimeGrid.
 
     Values are stored as float64 or complex128; a real dtype means the
-    imaginary part is identically zero (the four built-in pulses and, on
-    resonance, everything derived from them are real up to fixed phase
-    factors, and keeping them in real storage roughly halves the cost of
-    long sweeps).
+    imaginary part is identically zero. The four built-in pulses are
+    sampled in real storage; the dipole orders and the output modes
+    derived from them carry a factor i and are complex128, with imaginary
+    (or real) parts that are exactly zero for a real pulse on resonance.
     """
 
     grid: TimeGrid
@@ -85,9 +85,7 @@ class ComplexSignal:
             v = v.astype(np.complex128)
         if v.ndim != 1 or len(v) != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        # past 100k samples a single BLAS pass: NaN/inf poison the sum (values
-        # here are O(1), so the sum of squares cannot overflow on its own)
-        require_finite(v if len(v) < 100_000 else np.vdot(v, v))
+        require_finite(v)
         object.__setattr__(self, "values", v)
 
     def times(self) -> np.ndarray:
@@ -114,6 +112,12 @@ def require_finite(x) -> None:
     samples instead of the samples, this catches any NaN or infinite one."""
     if not np.isfinite(x).all():
         raise ValueError("signal contains NaN or infinite samples")
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """sum conj(a) b. einsum, not BLAS: OpenBLAS threads dot products past
+    10k samples, which stalls when pool workers already occupy every core."""
+    return np.einsum("i,i", a.conj(), b)
 
 
 def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:
@@ -143,8 +147,7 @@ def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:
     """
     _check_same_grid(f, g)
     a, b = f.values, g.values
-    # np.vdot conjugates its first argument and runs as a single BLAS pass
-    total = np.vdot(a, b)
+    total = _dot(a, b)
     ends = 0.5 * np.conj(a[0]) * b[0] + (1.0 - _last_weight(f.grid)) * np.conj(a[-1]) * b[-1]
     return complex(f.grid.dt * (total - ends))
 
@@ -152,6 +155,6 @@ def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:
 def norm_sq(f: ComplexSignal) -> float:
     """Integral |f(t)|^2 dt, trapezoid rule; equals Re(inner_product(f, f))."""
     a = f.values
-    total = np.vdot(a, a).real
+    total = _dot(a, a).real
     ends = 0.5 * abs(a[0]) ** 2 + (1.0 - _last_weight(f.grid)) * abs(a[-1]) ** 2
     return float(f.grid.dt * (total - ends))

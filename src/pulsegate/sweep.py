@@ -35,7 +35,7 @@ from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin_values,
                      check_span, default_grid_for, drive_window, sample_pulse)
-from .signal import ComplexSignal, TimeGrid, _last_weight, require_finite
+from .signal import ComplexSignal, TimeGrid, _dot, _last_weight, require_finite
 from .twophoton import (OutputDecomposition, LimitReport, c12_sq_from, compute_cr_sq,
                         decompose, limit_report)
 
@@ -178,10 +178,8 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
         b1 = u * -rt2
         b1 += b
         b3 = w * -rt2
-        # einsum, not BLAS: OpenBLAS threads dot products past 10k samples,
-        # which stalls when sweep workers already occupy every core
-        d13 = np.einsum("i,i", b1, b3)
-        gram += ((np.einsum("i,i", b1, b1), d13), (d13, np.einsum("i,i", b3, b3)))
+        d13 = _dot(b1, b3)
+        gram += ((_dot(b1, b1), d13), (d13, _dot(b3, b3)))
         if a == 0:
             first = np.array((b1[0], b3[0]))
     last = np.array((b1[-1], b3[-1]))

@@ -78,15 +78,26 @@ class LimitReport:
     reduction_ok: bool
 
 
-def _normalized_psi1(pair: OutputPair) -> tuple[ComplexSignal, float]:
-    n1 = norm_sq(pair.linear)
-    return ComplexSignal(pair.linear.grid, pair.linear.values / math.sqrt(n1)), n1
+def _project(pair: OutputPair) -> tuple[ComplexSignal, complex]:
+    """The linear output mode psi1 = b1 / ||b1|| and the overlap <psi1|b3>."""
+    b1 = pair.linear
+    psi1 = ComplexSignal(b1.grid, b1.values / math.sqrt(norm_sq(b1)))
+    return psi1, inner_product(psi1, pair.cubic)
+
+
+def _remainder(pair: OutputPair, psi1: ComplexSignal,
+               overlap: complex) -> tuple[Optional[ComplexSignal], float]:
+    """b3's remainder after projecting out psi1, as its unit mode psi2 and
+    its norm rho; psi2 is None when rho is too small to give a direction."""
+    residual = pair.cubic.values - overlap * psi1.values
+    rho = math.sqrt(max(norm_sq(ComplexSignal(psi1.grid, residual)), 0.0))
+    psi2 = ComplexSignal(psi1.grid, residual / rho) if rho > MODE_NORM_FLOOR else None
+    return psi2, rho
 
 
 def compute_c11(pair: OutputPair) -> complex:
     """Both-photons-stay amplitude c11 = 1 + <psi1|b3>."""
-    psi1, _ = _normalized_psi1(pair)
-    return 1 + inner_product(psi1, pair.cubic)
+    return 1 + _project(pair)[1]
 
 
 def compute_c12_sq(pair: OutputPair, c11: complex) -> float:
@@ -127,28 +138,21 @@ def extract_psi2(pair: OutputPair) -> ComplexSignal:
     after projecting out psi1. Its global phase is fixed by making the
     psi2 coefficient of b3 real positive, which is what the projection
     residual delivers directly."""
-    psi1, _ = _normalized_psi1(pair)
-    v = inner_product(psi1, pair.cubic)
-    residual = pair.cubic.values - v * psi1.values
-    rho_sq = norm_sq(ComplexSignal(pair.linear.grid, residual))
-    rho = math.sqrt(max(rho_sq, 0.0))
-    if rho <= MODE_NORM_FLOOR:
+    psi2, rho = _remainder(pair, *_project(pair))
+    if psi2 is None:
         raise UndefinedModeError(
             f"orthogonal component norm {rho:.2e} below {MODE_NORM_FLOOR:g}; "
             "the output is effectively single mode here")
-    return ComplexSignal(pair.linear.grid, residual / rho)
+    return psi2
 
 
 def decompose(pair: OutputPair) -> OutputDecomposition:
     """Full decomposition in one pass (shared normalization and overlap)."""
-    psi1, _ = _normalized_psi1(pair)
-    v = inner_product(psi1, pair.cubic)
+    psi1, v = _project(pair)
     c11 = 1 + v
     c12_sq = compute_c12_sq(pair, c11)
     cr_sq = compute_cr_sq(c11, c12_sq)
-    residual = pair.cubic.values - v * psi1.values
-    rho = math.sqrt(max(norm_sq(ComplexSignal(pair.linear.grid, residual)), 0.0))
-    psi2 = ComplexSignal(pair.linear.grid, residual / rho) if rho > MODE_NORM_FLOOR else None
+    psi2, _ = _remainder(pair, psi1, v)
     return OutputDecomposition(psi1=psi1, psi2=psi2, c11=c11,
                                c12=math.sqrt(c12_sq), cr_sq=cr_sq, overlap=v)
 
@@ -180,5 +184,4 @@ def check_quantum_limit(pair: OutputPair, c12_sq: float) -> LimitReport:
     Violations are reported, not raised: they indicate solver defects, and
     the margins are the useful diagnostic.
     """
-    psi1, _ = _normalized_psi1(pair)
-    return limit_report(inner_product(psi1, pair.cubic), c12_sq)
+    return limit_report(_project(pair)[1], c12_sq)

@@ -251,6 +251,23 @@ class TestDriveWindow:
         got = solve_spec(spec).decomposition
         np.testing.assert_allclose(amplitudes(got), amplitudes(ref), rtol=0, atol=1e-12)
 
+    def test_global_phase_carries_through(self):
+        # a constant phase on the input multiplies every field and mode by
+        # it and leaves the amplitudes alone
+        t = np.linspace(-2.0, 1.0, 301)
+        v = np.exp(-t**2) * (1.0 + 0.3 * t)
+        phase = np.exp(0.7j)
+        real = solve_spec(PulseSpec.custom(t, v))
+        turned = solve_spec(PulseSpec.custom(t, v * phase))
+        assert np.iscomplexobj(turned.b_in.values)
+        np.testing.assert_allclose(amplitudes(turned.decomposition),
+                                   amplitudes(real.decomposition), rtol=0, atol=1e-12)
+        for got, ref in ((turned.pair.linear, real.pair.linear),
+                         (turned.pair.cubic, real.pair.cubic),
+                         (turned.decomposition.psi1, real.decomposition.psi1),
+                         (turned.decomposition.psi2, real.decomposition.psi2)):
+            np.testing.assert_allclose(got.values, phase * ref.values, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("spec", [PulseSpec.rectangular(0.3), custom_spec()],
                              ids=["rect", "custom"])
     def test_solve_spec_waveforms_cover_the_grid(self, spec):

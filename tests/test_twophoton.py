@@ -175,6 +175,18 @@ class TestDecompose:
         assert d.cr_sq == pytest.approx(1 / 3, abs=1e-6)
 
 
+class TestSharedProjection:
+    # the measured photon-transfer peaks of README's table
+    @pytest.mark.parametrize("shape,gt", [("rect", 1.557), ("rising-exp", 1.0),
+                                          ("sym-exp", 0.789), ("gauss", 0.799)])
+    def test_views_equal_decompose_bitwise(self, shape, gt):
+        pair = solve_point(shape, gt).pair
+        dec = decompose(pair)
+        assert compute_c11(pair) == dec.c11
+        assert check_quantum_limit(pair, dec.c12_sq).overlap == dec.overlap
+        np.testing.assert_array_equal(extract_psi2(pair).values, dec.psi2.values)
+
+
 class TestCoherentExpectations:
     def test_linear_regime(self):
         m = coherent_expectations(0.1, 1.0 + 0j, 0.0)
