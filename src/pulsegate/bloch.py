@@ -26,6 +26,7 @@ brute-force oracle for the perturbative chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import GridMismatchError, IllConditionedFitError, StepInstabilityError
-from .signal import ComplexSignal
+from .signal import ComplexSignal, TimeGrid
 
 _Z_SERIES_CUTOFF = 1e-2
 
@@ -144,15 +145,45 @@ def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
     return ComplexSignal(b_in.grid, 1j * _decay_core(x, g, b_in.grid.dt))
 
 
-def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:
-    """Run the full perturbative chain s1 -> sz2 -> s3."""
-    if b_in.grid.tail and params.gamma != 1.0:
+def _check_tail_rate(grid: TimeGrid, params: SystemParams) -> None:
+    """Raise GridMismatchError for a grid with a free-decay tail at gamma != 1:
+    norm_sq and inner_product sum such a tail at the unit rate."""
+    if grid.tail and params.gamma != 1.0:
         raise GridMismatchError("a grid's free-decay tail relaxes at the unit rate; "
                                 f"gamma={params.gamma:g} needs a grid without one")
+
+
+def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:
+    """Run the full perturbative chain s1 -> sz2 -> s3."""
+    _check_tail_rate(b_in.grid, params)
     s1 = linear_response(b_in, params)
     sz2 = second_order_excitation(s1)
     s3 = third_order_response(b_in, sz2, params)
     return ResponseChain(s1, sz2, s3)
+
+
+def _rk4_factor(h: float) -> float:
+    """y_{k+1} / y_k for one RK4 step of dy/dt = -rate * y, h = -rate * dt."""
+    return 1 + h + h * h / 2 + h**3 / 6 + h**4 / 24
+
+
+def _left_sphere(grid: TimeGrid, node: int, z: float, alpha: complex) -> StepInstabilityError:
+    return StepInstabilityError(
+        f"<sz>={z:.6f} left the Bloch sphere at t="
+        f"{grid.t_start + node * grid.dt:.4f}; refine the grid "
+        f"or reduce |alpha|={abs(alpha):g}")
+
+
+def _scaled_drive(v: np.ndarray, a: complex) -> tuple[list, int]:
+    """a * v as a list of Python complexes, and the index of its last
+    nonzero entry (-1 if none). The products are the ones complex * complex
+    makes, taken as separate float64 passes, so no fused multiply-add can
+    round them differently."""
+    drive = np.empty(len(v), dtype=complex)
+    drive.real = a.real * v.real - a.imag * v.imag
+    drive.imag = a.real * v.imag + a.imag * v.real
+    driven = np.flatnonzero(drive)
+    return drive.tolist(), int(driven[-1]) if len(driven) else -1
 
 
 def full_bloch(b_in: ComplexSignal, alpha: complex,
@@ -163,18 +194,28 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     both sampled on b_in.grid. Raises StepInstabilityError if |<sz>|
     leaves [-1/2, 1/2] by more than 1e-6, the signature of a grid too
     coarse for the drive.
+
+    The RK4 loop stops at the node after the last one where alpha*b_in is
+    nonzero. From there on every step is undriven and linear: it multiplies
+    <s-> by R(-Gamma dt) and <sz> + 1/2 by R(-2 Gamma dt), where
+    R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24 is RK4's own amplification
+    factor, not exp(h). The free decay is filled in as those powers, so
+    the oracle stays independent of the chain's exact exponential ringdown
+    and matches stepping to rounding.
     """
-    g = params.gamma
+    _check_tail_rate(b_in.grid, params)
     dt = b_in.grid.dt
     n = b_in.grid.n
-    rt2g = np.sqrt(2 * g)
-    # python complex scalars in the loop: ~10x faster than numpy scalars
-    zb = [complex(alpha) * complex(z) for z in b_in.values]
-
-    def deriv(s, z, drive):
-        ds = -g * s - 2j * rt2g * drive * z
-        dz = -2 * g * (z + 0.5) - 2 * rt2g * (drive * s.conjugate()).imag
-        return ds, dz
+    # Python floats and complexes throughout the loop: numpy scalars cost
+    # several times as much per operation. Each stage keeps the operand
+    # order of d<s->/dt = -g s - 2i rt2g b z and
+    # d<sz>/dt = -2g (z + 1/2) - 2 rt2g Im(b s*), so every rounding matches
+    # the same step taken in numpy scalars.
+    g = float(params.gamma)
+    rt2g = math.sqrt(2 * g)
+    ng, m2g, i2r, r2 = -g, -2 * g, 2j * rt2g, 2 * rt2g
+    zb, last = _scaled_drive(b_in.values, complex(alpha))
+    m = min(last + 1, n - 1)   # the loop computes nodes 1..m
 
     sm = np.empty(n, dtype=complex)
     sz = np.empty(n)
@@ -182,22 +223,46 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     sm[0], sz[0] = s, z
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(n - 1):
-        d0 = zb[k]
+    d1 = zb[0]
+    c1 = i2r * d1
+    for k in range(m):
+        d0, c0 = d1, c1
         d1 = zb[k + 1]
+        c1 = i2r * d1
         dm = 0.5 * (d0 + d1)
-        k1s, k1z = deriv(s, z, d0)
-        k2s, k2z = deriv(s + half * k1s, z + half * k1z, dm)
-        k3s, k3z = deriv(s + half * k2s, z + half * k2z, dm)
-        k4s, k4z = deriv(s + dt * k3s, z + dt * k3z, d1)
+        cm = i2r * dm
+        k1s = ng * s - c0 * z
+        k1z = m2g * (z + 0.5) - r2 * (d0 * s.conjugate()).imag
+        s2 = s + half * k1s
+        z2 = z + half * k1z
+        k2s = ng * s2 - cm * z2
+        k2z = m2g * (z2 + 0.5) - r2 * (dm * s2.conjugate()).imag
+        s3 = s + half * k2s
+        z3 = z + half * k2z
+        k3s = ng * s3 - cm * z3
+        k3z = m2g * (z3 + 0.5) - r2 * (dm * s3.conjugate()).imag
+        s4 = s + dt * k3s
+        z4 = z + dt * k3z
+        k4s = ng * s4 - c1 * z4
+        k4z = m2g * (z4 + 0.5) - r2 * (d1 * s4.conjugate()).imag
         s = s + sixth * (k1s + 2 * k2s + 2 * k3s + k4s)
         z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
         if abs(z) > 0.5 + 1e-6:
-            raise StepInstabilityError(
-                f"<sz>={z:.6f} left the Bloch sphere at t="
-                f"{b_in.grid.t_start + (k + 1) * dt:.4f}; refine the grid "
-                f"or reduce |alpha|={abs(alpha):g}")
-        sm[k + 1], sz[k + 1] = s, z
+            raise _left_sphere(b_in.grid, k + 1, z, alpha)
+        sm[k + 1] = s
+        sz[k + 1] = z
+
+    if m < n - 1:
+        steps = np.arange(1, n - m)
+        # a ground state is kept as such: where R**steps overflows,
+        # 0 * inf would turn it into nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            sz[m + 1:] = -0.5 + (z + 0.5) * _rk4_factor(m2g * dt) ** steps if z != -0.5 else z
+            sm[m + 1:] = s * _rk4_factor(ng * dt) ** steps if s else s
+        bad = np.flatnonzero(np.abs(sz[m + 1:]) > 0.5 + 1e-6)
+        if len(bad):
+            node = m + 1 + int(bad[0])
+            raise _left_sphere(b_in.grid, node, float(sz[node]), alpha)
     return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
 
 

@@ -248,22 +248,34 @@ def drive_window(spec: PulseSpec, grid: TimeGrid) -> TimeGrid:
 
 
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
+    """Built-in pulse sampled at the ascending times t (any run of a grid's
+    nodes, step dt). The jumps of the rectangular and rising-exponential
+    pulses are located by binary search, which needs t ascending."""
     if shape is PulseShape.RECTANGULAR:
-        v = np.where((t > -T) & (t < 0), 1.0 / math.sqrt(T), 0.0)
-        # a node exactly on a jump takes the mean of the two one-sided limits
-        jump_tol = 1e-6 * dt
-        for tj in (-T, 0.0):
-            v = np.where(np.abs(t - tj) < jump_tol, 0.5 / math.sqrt(T), v)
-        return v
+        v = np.zeros(len(t))
+        v[np.searchsorted(t, -T, "right"):np.searchsorted(t, 0.0)] = 1.0 / math.sqrt(T)
+        return _halve_on_jumps(v, t, dt, (-T, 0.0), 0.5 / math.sqrt(T))
     if shape is PulseShape.RISING_EXP:
         amp = math.sqrt(2.0 / T)
-        v = np.where(t < 0, amp * np.exp(np.minimum(t, 0.0) / T), 0.0)
-        return np.where(np.abs(t) < 1e-6 * dt, 0.5 * amp, v)
+        v = np.zeros(len(t))
+        i0 = np.searchsorted(t, 0.0)
+        v[:i0] = amp * np.exp(t[:i0] / T)
+        return _halve_on_jumps(v, t, dt, (0.0,), 0.5 * amp)
     if shape is PulseShape.SYM_EXP:
         return math.sqrt(2.0 / T) * np.exp(-2.0 * np.abs(t) / T)
     if shape is PulseShape.GAUSSIAN:
         return math.sqrt(2.0 / (math.sqrt(math.pi) * T)) * np.exp(-2.0 * t**2 / T**2)
     raise ValueError(shape)
+
+
+def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float) -> np.ndarray:
+    """Set v to `value`, the mean of the two one-sided limits, at every node
+    within 1e-6 dt of a jump; only the nodes within dt of it are tested."""
+    for tj in jumps:
+        lo, hi = np.searchsorted(t, (tj - dt, tj + dt))
+        near = v[lo:hi]
+        near[np.abs(t[lo:hi] - tj) < 1e-6 * dt] = value
+    return v
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:

@@ -2,12 +2,18 @@
 
 Everything here was derived by hand integration of the driven relaxation
 equations (and double-checked symbolically); none of it goes through the
-package's integrators, so agreement is a genuine cross-check.
+package's integrators, so agreement is a genuine cross-check. The one
+exception is `rk4_full_bloch`, a plain step-by-step copy of the RK4 oracle
+kept to check the faster `pulsegate.full_bloch` against.
 
 Conventions: Gamma = 1, times in 1/Gamma.
 """
 
 import numpy as np
+
+from pulsegate.bloch import FullBlochState, SystemParams
+from pulsegate.errors import StepInstabilityError
+from pulsegate.signal import ComplexSignal
 
 SQ2 = np.sqrt(2.0)
 
@@ -84,3 +90,45 @@ def bloch_steady_sz(omega):
     """Saturated inversion for constant drive omega = sqrt(2) alpha b:
     sz -> -1 / (2 + 4 omega^2)."""
     return -1.0 / (2.0 + 4.0 * omega**2)
+
+
+# -- the RK4 oracle stepped node by node in numpy scalars ---------------------
+
+def rk4_full_bloch(b_in, alpha, params=SystemParams()):
+    """`full_bloch` as first written: every node stepped by RK4, free
+    decay included, with numpy-scalar arithmetic."""
+    g = params.gamma
+    dt = b_in.grid.dt
+    n = b_in.grid.n
+    rt2g = np.sqrt(2 * g)
+    # python complex scalars in the loop: ~10x faster than numpy scalars
+    zb = [complex(alpha) * complex(z) for z in b_in.values]
+
+    def deriv(s, z, drive):
+        ds = -g * s - 2j * rt2g * drive * z
+        dz = -2 * g * (z + 0.5) - 2 * rt2g * (drive * s.conjugate()).imag
+        return ds, dz
+
+    sm = np.empty(n, dtype=complex)
+    sz = np.empty(n)
+    s, z = 0j, -0.5
+    sm[0], sz[0] = s, z
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for k in range(n - 1):
+        d0 = zb[k]
+        d1 = zb[k + 1]
+        dm = 0.5 * (d0 + d1)
+        k1s, k1z = deriv(s, z, d0)
+        k2s, k2z = deriv(s + half * k1s, z + half * k1z, dm)
+        k3s, k3z = deriv(s + half * k2s, z + half * k2z, dm)
+        k4s, k4z = deriv(s + dt * k3s, z + dt * k3z, d1)
+        s = s + sixth * (k1s + 2 * k2s + 2 * k3s + k4s)
+        z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
+        if abs(z) > 0.5 + 1e-6:
+            raise StepInstabilityError(
+                f"<sz>={z:.6f} left the Bloch sphere at t="
+                f"{b_in.grid.t_start + (k + 1) * dt:.4f}; refine the grid "
+                f"or reduce |alpha|={abs(alpha):g}")
+        sm[k + 1], sz[k + 1] = s, z
+    return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))

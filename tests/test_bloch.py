@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import (ComplexSignal, GridPolicy, IllConditionedFitError,
-                       PulseSpec, StepInstabilityError, SystemParams,
-                       decaying_response, default_grid_for, full_bloch,
+from pulsegate import (ComplexSignal, GridMismatchError, GridPolicy,
+                       IllConditionedFitError, PulseSpec, StepInstabilityError,
+                       SystemParams, decaying_response, default_grid_for,
+                       drive_window, full_bloch,
                        linear_response, make_grid, norm_sq,
                        perturbative_extraction, sample_pulse,
                        second_order_excitation, solve_chain,
@@ -214,6 +215,84 @@ class TestFullBloch:
         b = sample_pulse(spec, grid)
         with pytest.raises(StepInstabilityError):
             full_bloch(b, alpha=60.0)  # Rabi period far below the step
+
+
+def _complex_custom_pulse():
+    t = np.linspace(-3.0, 1.0, 200)
+    spec = PulseSpec.custom(t, np.exp(-t**2 + 1j * t) * (t < 0.3))
+    return sample_pulse(spec, default_grid_for(spec, GridPolicy(samples_per_unit=400)))
+
+
+class TestFullBlochAgainstStepping:
+    """full_bloch against `_oracles.rk4_full_bloch`, which steps every node
+    in numpy scalars: the same RK4 steps, so bitwise equal while driven."""
+
+    CASES = [(PulseSpec.rectangular, 1.557, 0.06), (PulseSpec.rising_exponential, 1.0, 0.06),
+             (PulseSpec.symmetric_exponential, 0.789, 0.3), (PulseSpec.gaussian, 0.799, 0.02)]
+
+    @pytest.mark.parametrize("make, T, alpha", CASES)
+    def test_builtin_shapes(self, make, T, alpha):
+        b, _ = pulse_and_grid(make, T, GridPolicy(samples_per_unit=400))
+        self.check(b, alpha)
+
+    def test_complex_pulse_complex_alpha(self):
+        self.check(_complex_custom_pulse(), 0.05 * np.exp(0.4j))
+
+    @staticmethod
+    def check(b, alpha):
+        new, ref = full_bloch(b, alpha), orc.rk4_full_bloch(b, alpha)
+        s, s_ref = new.sigma_minus.values, ref.sigma_minus.values
+        # the node after the last driven one ends the loop
+        m = min(np.flatnonzero(alpha * b.values)[-1] + 1, b.grid.n - 1) + 1
+        assert s[:m].tobytes() == s_ref[:m].tobytes()
+        assert new.sigma_z[:m].tobytes() == ref.sigma_z[:m].tobytes()
+        # the free decay is filled in as powers of RK4's amplification factor
+        assert np.max(np.abs(s[m:] - s_ref[m:]), initial=0) <= 1e-13 * np.max(np.abs(s_ref))
+        assert np.max(np.abs(new.sigma_z[m:] - ref.sigma_z[m:]), initial=0) <= 1e-13
+
+    def test_unstable_free_decay_raises_as_stepping_does(self):
+        # dt = 2: RK4 multiplies <sz> + 1/2 by R(-4) = 5 per undriven step
+        g = make_grid(-2.0, 40.0, 22)
+        b = ComplexSignal(g, np.r_[np.full(4, 0.3), np.zeros(18)])
+        msgs = []
+        for f in (full_bloch, orc.rk4_full_bloch):
+            with pytest.raises(StepInstabilityError) as err:
+                f(b, 0.05)
+            msgs.append(str(err.value))
+        # drive ends at t=4, the loop at t=6: the fill finds the bad node
+        assert "at t=8.0000;" in msgs[0]
+        assert msgs[0] == msgs[1]
+
+    def test_zero_alpha_is_exactly_the_ground_state(self):
+        # dt = 2: the powers of R(-4) = 5 overflow long before the grid ends
+        g = make_grid(-3.0, 1997.0, 1001)
+        b = ComplexSignal(g, np.exp(-g.times() ** 2))
+        state = full_bloch(b, 0.0)
+        assert not state.sigma_minus.values.any()
+        assert (state.sigma_z == -0.5).all()
+
+
+class TestTailRate:
+    """A free-decay tail relaxes at the unit rate; gamma != 1 is refused."""
+
+    @staticmethod
+    def tail_pulse():
+        spec = PulseSpec.rectangular(1.0)
+        grid = drive_window(spec, default_grid_for(spec, GridPolicy(samples_per_unit=200)))
+        assert grid.tail > 0
+        return sample_pulse(spec, grid)
+
+    def test_full_bloch_refuses(self):
+        with pytest.raises(GridMismatchError):
+            full_bloch(self.tail_pulse(), 0.02, SystemParams(gamma=2.0))
+
+    def test_perturbative_extraction_refuses(self):
+        with pytest.raises(GridMismatchError):
+            perturbative_extraction(self.tail_pulse(), SystemParams(gamma=2.0), [0.02, 0.04])
+
+    def test_unit_rate_accepted(self):
+        e1, _ = perturbative_extraction(self.tail_pulse(), SystemParams(), [0.02, 0.04])
+        assert norm_sq(e1) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestPerturbativeExtraction:

@@ -6,7 +6,7 @@ import pytest
 from pulsegate import (GridPolicy, PulseFileError, PulseShape, PulseSpec,
                        UnsupportedSpanError, default_grid_for, load_pulse_file,
                        make_grid, norm_sq, sample_pulse)
-from pulsegate.pulses import RISING_LEAD_FACTOR
+from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values
 
 ALL_BUILTINS = [PulseSpec.rectangular, PulseSpec.rising_exponential,
                 PulseSpec.symmetric_exponential, PulseSpec.gaussian]
@@ -151,6 +151,41 @@ class TestGrids:
             PulseSpec.gaussian(0.0)
         with pytest.raises(ConfigError):
             PulseSpec.rectangular(-2.0)
+
+
+def _full_pass_values(shape, T, t, dt):
+    """The rect and rising-exp formulas as whole-array passes, the reference
+    for the binary-searched jumps of `_builtin_values`."""
+    if shape is PulseShape.RECTANGULAR:
+        v = np.where((t > -T) & (t < 0), 1.0 / math.sqrt(T), 0.0)
+        jump_tol = 1e-6 * dt
+        for tj in (-T, 0.0):
+            v = np.where(np.abs(t - tj) < jump_tol, 0.5 / math.sqrt(T), v)
+        return v
+    amp = math.sqrt(2.0 / T)
+    v = np.where(t < 0, amp * np.exp(np.minimum(t, 0.0) / T), 0.0)
+    return np.where(np.abs(t) < 1e-6 * dt, 0.5 * amp, v)
+
+
+class TestJumpSearch:
+    # grids with nodes on both rect edges, within and just past the 1e-6 dt
+    # tolerance of them, on neither, and a coarse one whose step exceeds
+    # the pulse
+    GRIDS = [(1.0, 0.1, -2.0), (1.0, 0.1, -2.0 + 5e-8), (1.0, 0.1, -2.0 + 2e-7),
+             (1.557, 1.557 / 9, -1.557 - 0.35 * 1.557 / 9),
+             (0.3, 0.5, -12.0), (1000.0, 3.0, -1030.0)]
+
+    @pytest.mark.parametrize("shape", [PulseShape.RECTANGULAR, PulseShape.RISING_EXP])
+    @pytest.mark.parametrize("T, dt, t0", GRIDS)
+    def test_bitwise_the_full_pass_formula(self, shape, T, dt, t0):
+        t = t0 + dt * np.arange(int((T + 2 - t0) / dt) + 3)
+        ref = _full_pass_values(shape, T, t, dt)
+        assert _builtin_values(shape, T, t, dt).tobytes() == ref.tobytes()
+        # blocks that start before, on, inside and after a jump, down to one node
+        for size in (1, 2, 5, 17):
+            for a in range(0, len(t), size):
+                got = _builtin_values(shape, T, t[a:a + size], dt)
+                assert got.tobytes() == ref[a:a + size].tobytes()
 
 
 class TestCustomPulses:
