@@ -145,17 +145,8 @@ def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
     return ComplexSignal(b_in.grid, 1j * _decay_core(x, g, b_in.grid.dt))
 
 
-def _check_tail_rate(grid: TimeGrid, params: SystemParams) -> None:
-    """Raise GridMismatchError for a grid with a free-decay tail at gamma != 1:
-    norm_sq and inner_product sum such a tail at the unit rate."""
-    if grid.tail and params.gamma != 1.0:
-        raise GridMismatchError("a grid's free-decay tail relaxes at the unit rate; "
-                                f"gamma={params.gamma:g} needs a grid without one")
-
-
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:
     """Run the full perturbative chain s1 -> sz2 -> s3."""
-    _check_tail_rate(b_in.grid, params)
     s1 = linear_response(b_in, params)
     sz2 = second_order_excitation(s1)
     s3 = third_order_response(b_in, sz2, params)
@@ -203,7 +194,6 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     the oracle stays independent of the chain's exact exponential ringdown
     and matches stepping to rounding.
     """
-    _check_tail_rate(b_in.grid, params)
     dt = b_in.grid.dt
     n = b_in.grid.n
     # Python floats and complexes throughout the loop: numpy scalars cost

@@ -259,9 +259,6 @@ def main(argv=None) -> int:
     except NoPeakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PulseGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

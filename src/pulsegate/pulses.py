@@ -230,21 +230,18 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
     return make_grid(t_start, t_start + (n - 1) * dt, n)
 
 
-def drive_window(spec: PulseSpec, grid: TimeGrid) -> TimeGrid:
-    """`grid` stored only up to its first node past spec.drive_end().
-
-    From that node on the pulse has passed and the dipole relaxes freely,
-    so the remaining nodes become the grid's free-decay tail. A pulse that
-    drives up to the grid end keeps the whole grid.
+def drive_window(spec: PulseSpec, grid: TimeGrid) -> int:
+    """Number of leading grid nodes up to and including the first one past
+    spec.drive_end(): from that node on the pulse has passed and the dipole
+    relaxes freely. A pulse that drives up to the grid end gets all of them.
     """
     t_off = spec.drive_end()
-    total = grid.n + grid.tail
     # start just below the estimate, then step to the first node strictly
     # past t_off, with node times computed exactly as TimeGrid.times does
-    i = min(max(math.floor((t_off - grid.t_start) / grid.dt) - 1, 0), total)
-    while i < total and grid.t_start + grid.dt * i <= t_off:
+    i = min(max(math.floor((t_off - grid.t_start) / grid.dt) - 1, 0), grid.n)
+    while i < grid.n and grid.t_start + grid.dt * i <= t_off:
         i += 1
-    return grid.window(min(max(i + 1, 2), total))
+    return min(max(i + 1, 2), grid.n)
 
 
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
@@ -279,24 +276,21 @@ def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:
-    """Raise UnsupportedSpanError unless the stored nodes of the grid cover
-    the pulse support (the tail carries no drive)."""
+    """Raise UnsupportedSpanError unless the grid covers the pulse support."""
     lo, hi = spec.support()
     tol = 1e-9 * grid.dt
-    t_last = grid.t_start + (grid.n - 1) * grid.dt
-    if grid.t_start > lo + tol or t_last < hi - tol:
+    if grid.t_start > lo + tol or grid.t_end < hi - tol:
         raise UnsupportedSpanError(
-            f"grid [{grid.t_start:g}, {t_last:g}] does not cover the "
+            f"grid [{grid.t_start:g}, {grid.t_end:g}] does not cover the "
             f"pulse support [{lo:g}, {hi:g}]")
 
 
 def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
     """Evaluate the pulse on the grid.
 
-    Only the stored nodes are sampled. Built-in shapes are evaluated
-    pointwise from their defining formulas (no renormalization). Custom
-    samples are resampled onto the grid by linear interpolation and
-    renormalized to unit photon number.
+    Built-in shapes are evaluated pointwise from their defining formulas
+    (no renormalization). Custom samples are resampled onto the grid by
+    linear interpolation and renormalized to unit photon number.
     """
     check_span(spec, grid)
     t = grid.times()

@@ -7,14 +7,13 @@ computations evaluated in ascending order, which makes emitted tables
 bit-reproducible. The grid is re-derived per point from the policy so
 each point is converged on its own terms.
 
-Each point is solved on the drive window of its grid (pulses.drive_window):
-past the pulse every waveform is in free decay, which inner products sum
-in closed form to the grid end. The amplitude-only path (run_point, which
-sweeps and the peak search use) streams the window through blocks of
-BLOCK_NODES nodes and keeps only the three overlap integrals the
-amplitudes need, so its memory does not grow with the grid. solve_spec
-stores every waveform and fills the ringdown in afterwards, so its
-waveforms cover the whole grid; it refuses grids above
+The amplitude-only path (run_point, which sweeps and the peak search
+use) streams the drive window of the grid (pulses.drive_window) through
+blocks of BLOCK_NODES nodes and keeps only the three overlap integrals
+the amplitudes need, so its memory does not grow with the grid. Past the
+window every waveform is in free decay, whose trapezoid sum to the grid
+end is added in closed form. solve_spec runs the array pipeline on every
+node of the grid and stores every waveform; it refuses grids above
 WAVEFORM_NODE_BUDGET nodes.
 """
 
@@ -24,7 +23,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin_values,
                      check_span, default_grid_for, drive_window, sample_pulse)
-from .signal import ComplexSignal, TimeGrid, _dot, _last_weight, require_finite
+from .signal import ComplexSignal, TimeGrid, _dot, _tail_weight, require_finite
 from .twophoton import (OutputDecomposition, LimitReport, c12_sq_from, compute_cr_sq,
                         decompose, limit_report)
 
@@ -45,8 +44,9 @@ GAMMA_T_MAX = 1e4
 # Nodes per block of run_point's streamed solve: the dozen block-long
 # arrays alive at once stay in cache, whatever the grid's length.
 BLOCK_NODES = 16384
-# solve_spec stores about ten waveforms of 8-16 bytes per node: 2**24 nodes
-# is about 1.5 GB, the most a 2-core / 7 GB machine is asked to hold.
+# solve_spec's traced peak is 104 bytes per node (the pulse, the dipole
+# orders and the outputs at 8-16 bytes each): 2**24 nodes is about 1.74 GB,
+# the most a 2-core / 7 GB machine is asked to hold.
 WAVEFORM_NODE_BUDGET = 2**24
 
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
@@ -113,35 +113,24 @@ def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
 
 
 def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
-    """Run the full pipeline for an already-built pulse spec; every waveform
-    of the result is sampled on the whole policy grid.
-
-    The pipeline runs on the drive window of the grid; the ringdown past it
-    is filled in afterwards. A grid over WAVEFORM_NODE_BUDGET nodes raises
-    ConfigError before anything is sampled.
-    """
-    full = default_grid_for(spec, policy)
-    nodes = full.n + full.tail
-    if nodes > WAVEFORM_NODE_BUDGET:
+    """Run the full pipeline for an already-built pulse spec on every node
+    of its policy grid. A grid over WAVEFORM_NODE_BUDGET nodes raises
+    ConfigError before anything is sampled."""
+    grid = default_grid_for(spec, policy)
+    if grid.n > WAVEFORM_NODE_BUDGET:
         raise ConfigError(
-            f"the waveform grid has {nodes} nodes, over the budget of "
+            f"the waveform grid has {grid.n} nodes, over the budget of "
             f"{WAVEFORM_NODE_BUDGET}; use fewer points per unit, or the "
             "amplitude-only sweep and peak, which solve any grid in bounded memory")
     params = SystemParams()
-    grid = drive_window(spec, full)
     b_in = sample_pulse(spec, grid)
     chain = solve_chain(b_in, params)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them
     dec = decompose(pair)
-    limit = limit_report(dec.overlap, dec.c12_sq)
-    if grid.tail:
-        b_in = sample_pulse(spec, full)
-        pair = OutputPair(pair.linear.filled(), pair.cubic.filled())
-        dec = replace(dec, psi1=dec.psi1.filled(),
-                      psi2=dec.psi2.filled() if dec.psi2 is not None else None)
-    return PointSolution(spec=spec, gamma_t=spec.duration, grid=full, b_in=b_in,
-                         pair=pair, decomposition=dec, limit=limit)
+    return PointSolution(spec=spec, gamma_t=spec.duration, grid=grid, b_in=b_in,
+                         pair=pair, decomposition=dec,
+                         limit=limit_report(dec.overlap, dec.c12_sq))
 
 
 def solve_point(shape: ShapeLike, gamma_t: float,
@@ -152,21 +141,24 @@ def solve_point(shape: ShapeLike, gamma_t: float,
 
 def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     """Trapezoid Gram matrix of the outputs of a built-in pulse on `grid`,
-    [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]], tail included.
+    [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]].
 
-    The chain runs block by block over the stored nodes: the pulse is
+    The chain runs block by block over the drive window: the pulse is
     sampled at the block's node times, s1 = i u and s3 = i w follow from
     the ETD recurrence carried over from the block before (all real on
     resonance), and the block's b1 = b - sqrt(2) u and b3 = -sqrt(2) w only
     add to the running sums. Every node value is bitwise the one the array
-    pipeline computes; only the summation order differs.
+    pipeline computes; only the summation order differs. On the nodes past
+    the window b1 and b3 are their last window values times exp(-(t - t_last)),
+    so those nodes enter as the last node's closed-form trapezoid weight.
     """
     check_span(spec, grid)
     dt = grid.dt
+    n = drive_window(spec, grid)
     rt2 = math.sqrt(2.0)
     gram = np.zeros((2, 2))
-    for a in range(0, grid.n, BLOCK_NODES):
-        b = _builtin_values(spec.shape, spec.duration, grid.times(a, a + BLOCK_NODES), dt)
+    for a in range(0, n, BLOCK_NODES):
+        b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
         x1 = rt2 * b
         u = (_decay_core(x1, 1.0, dt) if a == 0
              else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
@@ -183,7 +175,8 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
         if a == 0:
             first = np.array((b1[0], b3[0]))
     last = np.array((b1[-1], b3[-1]))
-    gram -= 0.5 * np.outer(first, first) + (1.0 - _last_weight(grid)) * np.outer(last, last)
+    last_weight = _tail_weight(grid.n - n, dt)
+    gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(last, last)
     gram *= dt
     require_finite(gram)
     return gram
@@ -194,7 +187,7 @@ def run_point(shape: ShapeLike, gamma_t: float,
     """One sweep row: the amplitudes only, streamed through blocks of the
     drive window, so memory stays bounded over the whole gamma_t range."""
     spec = _builtin_spec(_as_shape(shape), gamma_t)
-    gram = _output_gram(spec, drive_window(spec, default_grid_for(spec, policy)))
+    gram = _output_gram(spec, default_grid_for(spec, policy))
     n1 = float(gram[0, 0])
     check_linear_norm(n1)
     v = complex(gram[0, 1] / math.sqrt(n1))    # <psi1|b3>, psi1 = b1 / sqrt(n1)

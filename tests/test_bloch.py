@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import (ComplexSignal, GridMismatchError, GridPolicy,
+from pulsegate import (ComplexSignal, GridPolicy,
                        IllConditionedFitError, PulseSpec, StepInstabilityError,
                        SystemParams, decaying_response, default_grid_for,
-                       drive_window, full_bloch,
-                       linear_response, make_grid, norm_sq,
+                       full_bloch, linear_response, make_grid, norm_sq,
                        perturbative_extraction, sample_pulse,
                        second_order_excitation, solve_chain,
                        third_order_response)
@@ -270,29 +269,6 @@ class TestFullBlochAgainstStepping:
         state = full_bloch(b, 0.0)
         assert not state.sigma_minus.values.any()
         assert (state.sigma_z == -0.5).all()
-
-
-class TestTailRate:
-    """A free-decay tail relaxes at the unit rate; gamma != 1 is refused."""
-
-    @staticmethod
-    def tail_pulse():
-        spec = PulseSpec.rectangular(1.0)
-        grid = drive_window(spec, default_grid_for(spec, GridPolicy(samples_per_unit=200)))
-        assert grid.tail > 0
-        return sample_pulse(spec, grid)
-
-    def test_full_bloch_refuses(self):
-        with pytest.raises(GridMismatchError):
-            full_bloch(self.tail_pulse(), 0.02, SystemParams(gamma=2.0))
-
-    def test_perturbative_extraction_refuses(self):
-        with pytest.raises(GridMismatchError):
-            perturbative_extraction(self.tail_pulse(), SystemParams(gamma=2.0), [0.02, 0.04])
-
-    def test_unit_rate_accepted(self):
-        e1, _ = perturbative_extraction(self.tail_pulse(), SystemParams(), [0.02, 0.04])
-        assert norm_sq(e1) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestPerturbativeExtraction:

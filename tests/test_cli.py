@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from pulsegate import cli, errors
 from pulsegate.cli import SWEEP_HEADER, main
 
 FAST = ["--points-per-unit", "400"]
@@ -177,6 +178,19 @@ class TestModesCmd:
         # psi2 hugs the input side: its mass sits at t < 0
         p2 = data[:, 3]
         assert np.trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * np.trapezoid(p2**2, t)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [(errors.ConfigError, 2),
+                                             (errors.NormViolationError, 3),
+                                             (errors.PulseGateError, 3),
+                                             (errors.NoPeakError, 4)])
+    def test_error_family_sets_the_code(self, error, code, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error("boom")
+        monkeypatch.setattr(cli, "find_peak_c12", fail)
+        assert run("peak", "--shape", "gauss") == code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestParser:

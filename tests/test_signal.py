@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pulsegate import (ComplexSignal, GridMismatchError, InvalidRangeError,
                        PulseSpec, default_grid_for, inner_product, make_grid,
                        norm_sq, sample_pulse)
+from pulsegate.signal import _tail_weight
 
 
 def signal_on(grid, fn):
@@ -36,10 +37,10 @@ class TestMakeGrid:
         np.testing.assert_allclose(g.times(), -2.0 + 0.5 * np.arange(11))
 
     def test_node_range_times_are_bitwise_the_full_ones(self):
-        g = make_grid(-1.3, 7.1, 100_003).window(70_001)
+        g = make_grid(-1.3, 7.1, 100_003)
         t = g.times()
         assert len(t) == g.n
-        for start, stop in ((0, 7), (5, 16389), (69_990, 70_001), (69_995, 80_000)):
+        for start, stop in ((0, 7), (5, 16389), (99_990, 100_003), (99_995, 110_000)):
             np.testing.assert_array_equal(g.times(start, stop), t[start:stop])
 
 
@@ -152,58 +153,24 @@ class TestNormSq:
 
 
 class TestFreeDecayTail:
-    """Unstored tail nodes sum exactly as the same signals filled in by hand."""
-
-    DT = 1e-3
-
-    def signals(self, n, m):
-        full = make_grid(0.0, (n + m - 1) * self.DT, n + m)
-        grid = full.window(n)
-        t = grid.times()
-        f = ComplexSignal(grid, (1 + 2j) * np.exp(-t) + np.sin(7 * t))
-        h = ComplexSignal(grid, np.cos(3 * t) - 0.5j * t)
-        return full, f, h
-
-    @staticmethod
-    def by_hand(full, sig):
-        """The signal on the full grid, tail e^-(t - t_last) written out."""
-        t = full.times()
-        n = sig.grid.n
-        return np.concatenate([sig.values, sig.values[-1] * np.exp(-(t[n:] - t[n - 1]))])
+    """The closed-form weight of m free-decay nodes after a node."""
 
     @pytest.mark.parametrize("m", [0, 1, 100_000])
     def test_matches_filled_trapezoid(self, m):
-        full, f, h = self.signals(2001, m)
-        a, b = self.by_hand(full, f), self.by_hand(full, h)
-        want = np.trapezoid(np.conj(a) * b, dx=full.dt)
-        want_nrm = np.trapezoid(np.abs(a) ** 2, dx=full.dt)
-        assert f.grid.tail == m
-        assert abs(inner_product(f, h) - want) <= 1e-13 * abs(want)
-        assert abs(norm_sq(f) - want_nrm) <= 1e-13 * want_nrm
+        # the trapezoid weights of the node and the m after it, each times
+        # the product's decay q^k = e^(-2 k dt), summed by hand; dt = 1e-6 is
+        # the regime where 1 - q cancels without expm1
+        for dt in (1e-1, 1e-3, 1e-6):
+            q = np.exp(-2.0 * dt * np.arange(m + 1))
+            want = q[:-1].sum() + 0.5 * q[-1]
+            assert abs(_tail_weight(m, dt) - want) <= 1e-13 * want, dt
+        assert _tail_weight(0, 1e-3) == 0.5
 
     def test_tail_stops_at_grid_end(self):
-        # a unit signal on [0, 1] whose tail runs 0.5 past it integrates to
-        # 1 + (1 - e^-1)/2, not to the 1.5 of a tail summed to infinity
-        full = make_grid(0.0, 1.5, 1501)
-        one = ComplexSignal(full.window(1001), np.ones(1001))
-        assert full.window(1001).tail == 500
-        assert norm_sq(one) == pytest.approx(1 + (1 - np.exp(-1)) / 2, rel=1e-6)
-        assert abs(norm_sq(one) - 1.5) > 0.1
-
-    def test_filled_samples_the_tail(self):
-        full, f, _ = self.signals(201, 50)
-        filled = f.filled()
-        assert filled.grid == full
-        np.testing.assert_allclose(filled.values, self.by_hand(full, f), rtol=1e-15, atol=0)
-        assert norm_sq(filled) == pytest.approx(norm_sq(f), rel=1e-13)
-
-    def test_window_and_filled_round_trip(self):
-        full = make_grid(-1.0, 4.0, 501)
-        w = full.window(100)
-        assert (w.n, w.tail, w.dt) == (100, 401, full.dt)
-        np.testing.assert_array_equal(w.times(), full.times()[:100])
-        assert w.filled() == full
-        with pytest.raises(InvalidRangeError):
-            full.window(1)
-        with pytest.raises(InvalidRangeError):
-            full.window(502)
+        # unit samples on [0, 1], then a tail decaying as e^-(t - 1) for 500
+        # nodes to t = 1.5: the integral is 1 + (1 - e^-1)/2, not the 1.5 of
+        # a tail summed to infinity
+        dt = 1e-3
+        total = dt * (999.5 + _tail_weight(500, dt))
+        assert total == pytest.approx(1 + (1 - np.exp(-1)) / 2, rel=1e-6)
+        assert abs(total - 1.5) > 0.1

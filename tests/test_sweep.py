@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsegate
-from pulsegate import (DEFAULT_POLICY, ConfigError, DurationRangeError, GridPolicy,
+from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
                        NoPeakError, NormViolationError, PulseShape, PulseSpec,
-                       assemble_outputs,
-                       decompose, default_grid_for, drive_window,
-                       find_peak_c12, inner_product, mode_shapes_at, norm_sq,
-                       run_point, sample_pulse, solve_chain, solve_point,
-                       solve_spec, sweep)
+                       default_grid_for, drive_window, find_peak_c12,
+                       inner_product, mode_shapes_at, norm_sq, run_point,
+                       sample_pulse, solve_point, solve_spec, sweep)
 
 import _oracles as orc
 
@@ -200,14 +198,6 @@ BUILTIN = ["rect", "rising-exp", "sym-exp", "gauss"]
 ROW_FIELDS = ("c11_re", "c11_im", "c11_sq", "c12_sq", "cr_sq", "overlap_re", "overlap_im")
 
 
-def full_grid_solution(spec, policy=DEFAULT_POLICY):
-    """The pipeline with every grid node stored, ringdown sampled."""
-    grid = default_grid_for(spec, policy)
-    b_in = sample_pulse(spec, grid)
-    pair = assemble_outputs(b_in, solve_chain(b_in))
-    return grid, b_in, pair, decompose(pair)
-
-
 def amplitudes(d):
     return (d.c11.real, d.c11.imag, d.c11_sq, d.c12_sq, d.cr_sq,
             d.overlap.real, d.overlap.imag)
@@ -223,33 +213,39 @@ class TestDriveWindow:
     def test_window_ends_with_the_drive(self, shape):
         spec = PulseSpec(PulseShape(shape), 0.3)
         grid = default_grid_for(spec)
-        w = drive_window(spec, grid)
-        assert w.tail > 0 and w.filled() == grid
+        n = drive_window(spec, grid)
+        assert n < grid.n
         t = grid.times()
-        assert t[w.n - 2] <= spec.drive_end() < t[w.n - 1]
+        assert t[n - 2] <= spec.drive_end() < t[n - 1]
         b = np.abs(sample_pulse(spec, grid).values)
-        assert b[w.n - 1:].max() <= 2.0**-53 * b.max()
+        assert b[n - 1:].max() <= 2.0**-53 * b.max()
 
     def test_window_never_passes_the_grid_end(self):
         spec = PulseSpec.gaussian(1000.0)
         grid = default_grid_for(spec)
         assert spec.drive_end() > grid.t_end
-        assert drive_window(spec, grid) == grid
+        assert drive_window(spec, grid) == grid.n
 
     @pytest.mark.parametrize("gt", [0.01, 0.3, 1.0, 30.0, 300.0])
     @pytest.mark.parametrize("shape", BUILTIN)
     def test_run_point_matches_full_grid(self, shape, gt):
         row = run_point(shape, gt)
-        *_, ref = full_grid_solution(PulseSpec(PulseShape(shape), gt))
+        ref = solve_point(shape, gt).decomposition
         assert row.gamma_t == gt
         np.testing.assert_allclose([getattr(row, f) for f in ROW_FIELDS],
                                    amplitudes(ref), rtol=0, atol=1e-12)
 
     def test_custom_pulse_matches_full_grid(self):
-        spec = custom_spec()
-        *_, ref = full_grid_solution(spec)
-        got = solve_spec(spec).decomposition
-        np.testing.assert_allclose(amplitudes(got), amplitudes(ref), rtol=0, atol=1e-12)
+        # the amplitudes are numpy's trapezoid sums of the stored waveforms
+        # over the whole grid
+        sol = solve_spec(custom_spec())
+        b1, b3 = sol.pair.linear.values, sol.pair.cubic.values
+        n1 = np.trapezoid(np.abs(b1) ** 2, dx=sol.grid.dt)
+        overlap = np.trapezoid(np.conj(b1) * b3, dx=sol.grid.dt) / math.sqrt(n1)
+        c12_sq = 2 * (np.trapezoid(np.abs(b3) ** 2, dx=sol.grid.dt) - abs(overlap) ** 2)
+        dec = sol.decomposition
+        assert abs(dec.overlap - overlap) <= 1e-13
+        assert dec.c12_sq == pytest.approx(c12_sq, rel=0, abs=1e-13)
 
     def test_global_phase_carries_through(self):
         # a constant phase on the input multiplies every field and mode by
@@ -272,15 +268,15 @@ class TestDriveWindow:
                              ids=["rect", "custom"])
     def test_solve_spec_waveforms_cover_the_grid(self, spec):
         sol = solve_spec(spec)
-        grid, b_in, pair, dec = full_grid_solution(spec)
-        assert drive_window(spec, grid).tail > 0
-        assert sol.grid == grid
-        np.testing.assert_array_equal(sol.b_in.values, b_in.values)
-        for got, ref in ((sol.pair.linear, pair.linear), (sol.pair.cubic, pair.cubic),
-                         (sol.decomposition.psi1, dec.psi1),
-                         (sol.decomposition.psi2, dec.psi2)):
-            assert got.grid == grid
-            np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+        grid = default_grid_for(spec)
+        assert sol.grid == grid and drive_window(spec, grid) < grid.n
+        dec = sol.decomposition
+        for sig in (sol.b_in, sol.pair.linear, sol.pair.cubic, dec.psi1, dec.psi2):
+            assert sig.grid == grid and len(sig.values) == grid.n
+        if spec.shape is not PulseShape.CUSTOM:
+            # the streamed amplitudes, whose ringdown is summed in closed form
+            row = run_point(spec.shape, spec.duration)
+            np.testing.assert_allclose(row_fields(row), amplitudes(dec), rtol=0, atol=1e-12)
 
     @given(log_gt=st.floats(math.log10(0.01), math.log10(100.0)))
     @settings(max_examples=25, deadline=None)
@@ -305,7 +301,7 @@ class TestStreamedSolve:
     def test_block_size_invariance(self, shape, monkeypatch):
         ref = run_point(shape, 1.0)
         spec = PulseSpec(PulseShape(shape), 1.0)
-        n = drive_window(spec, default_grid_for(spec)).n
+        n = drive_window(spec, default_grid_for(spec))
         exact, plus_one = largest_divisor(n), largest_divisor(n - 1)
         assert n % exact == 0 and n % plus_one == 1
         for block in (7, 1000, n, exact, plus_one):
@@ -385,9 +381,21 @@ class TestWaveformNodeBudget:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
-        assert long.n + long.tail > sweep_module.WAVEFORM_NODE_BUDGET
+        assert long.n > sweep_module.WAVEFORM_NODE_BUDGET
         grid = default_grid_for(PulseSpec.symmetric_exponential(1000.0))
-        assert grid.n + grid.tail <= sweep_module.WAVEFORM_NODE_BUDGET
+        assert grid.n <= sweep_module.WAVEFORM_NODE_BUDGET
+
+    def test_solve_peak_memory_per_node(self):
+        # the figure WAVEFORM_NODE_BUDGET is sized by: 104 bytes per node
+        spec = PulseSpec.rectangular(0.1)     # 205k nodes
+        solve_spec(spec)                      # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            solve_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * default_grid_for(spec).n
 
     def test_refused_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -395,5 +403,5 @@ class TestWaveformNodeBudget:
         monkeypatch.setattr(sweep_module, "sample_pulse", no_sampling)
         monkeypatch.setattr(sweep_module, "WAVEFORM_NODE_BUDGET", 1000)
         grid = default_grid_for(PulseSpec.gaussian(1.0))
-        with pytest.raises(ConfigError, match=f"{grid.n + grid.tail} nodes.*budget of 1000"):
+        with pytest.raises(ConfigError, match=f"{grid.n} nodes.*budget of 1000"):
             solve_point("gauss", 1.0)
