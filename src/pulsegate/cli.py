@@ -7,9 +7,11 @@ Subcommands:
     modes     export the two output mode waveforms -> CSV
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 no peak
-in bracket. All files are written atomically (temp file + rename) and
-with 17 significant digits, so identical invocations produce
-byte-identical output.
+in bracket. Every file, the waveform CSVs of ``respond`` and ``modes``
+included, is written atomically (temp file + rename) with 17 significant
+digits, so identical invocations produce byte-identical output. CSV
+tables are formatted a block of rows at a time and streamed into the
+temp file, so no CSV table is held in memory as one string.
 """
 
 from __future__ import annotations
@@ -20,30 +22,38 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, NoPeakError, PulseGateError, SolverError
 from .pulses import DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec
-from .signal import ComplexSignal
 from .sweep import (DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_RANGE, PointSolution,
-                    SweepRow, find_peak_c12, solve_spec, solve_point, sweep)
+                    find_peak_c12, solve_spec, solve_point, sweep)
 
 SWEEP_HEADER = "gamma_t,c11_re,c11_im,c11_sq,c12_sq,cr_sq,overlap_re,overlap_im"
 
 BUILTIN_SHAPES = [s.value for s in PulseShape if s is not PulseShape.CUSTOM]
+
+# rows per `%` call in `_csv`: large enough to amortise the call, small
+# enough that a block's text stays near 1 MB (11 columns of 17 digits)
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temp file beside `path`, then rename it
+    over `path`. If anything raises, the temp file is removed and an
+    existing `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,19 +61,26 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows: Iterable[Iterable[float]]) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, cols: Sequence) -> Iterator[str]:
+    """Yield a CSV table as text chunks: the header line, then the rows of
+    `cols` (equal-length float columns) at 17 significant digits,
+    `_CSV_BLOCK_ROWS` rows per chunk."""
+    yield header + "\n"
+    table = np.column_stack(cols)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for a in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[a:a + _CSV_BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _signal_columns(sig: Optional[ComplexSignal], n: int, stride: int):
-    if sig is None:
-        import numpy as np
-        z = np.zeros(n)[::stride]
-        return z, z
-    v = sig.values[::stride]
-    return v.real, v.imag
+def _waveform_columns(sol: PointSolution, signals, stride: int) -> list:
+    """Every `stride`-th node of the grid: t, then re and im of each signal
+    (zeros where a signal is None)."""
+    cols = [sol.grid.times()[::stride]]
+    for sig in signals:
+        v = np.zeros(sol.grid.n) if sig is None else sig.values
+        cols += [v.real[::stride], v.imag[::stride]]
+    return cols
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -132,22 +149,20 @@ def _json_text(record: dict) -> str:
 def cmd_respond(args) -> int:
     sol = _solution_from(args)
     out = Path(args.out) if args.out else Path(f"respond_{args.shape}")
-    stride = max(1, args.stride)
-    cols = [sol.grid.times()[::stride]]
-    for sig in (sol.b_in, sol.pair.linear, sol.pair.cubic,
-                sol.decomposition.psi1, sol.decomposition.psi2):
-        cols.extend(_signal_columns(sig, sol.grid.n, stride))
+    cols = _waveform_columns(sol, (sol.b_in, sol.pair.linear, sol.pair.cubic,
+                                   sol.decomposition.psi1, sol.decomposition.psi2),
+                             max(1, args.stride))
     header = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
               "psi1_re,psi1_im,psi2_re,psi2_im")
-    _write_atomic(out.with_suffix(".signals.csv"), _csv(header, zip(*cols)))
+    _write_atomic(out.with_suffix(".signals.csv"), _csv(header, cols))
     record = _summary_dict(sol)
     if args.format == "json":
-        _write_atomic(out.with_suffix(".summary.json"), _json_text(record))
+        _write_atomic(out.with_suffix(".summary.json"), [_json_text(record)])
     else:
         row = ",".join(str(v) if isinstance(v, (str, bool)) else _fmt(v)
                        for v in record.values())
         _write_atomic(out.with_suffix(".summary.csv"),
-                      ",".join(record) + "\n" + row + "\n")
+                      [",".join(record) + "\n" + row + "\n"])
     print(_json_text(record), end="")
     return 0
 
@@ -157,9 +172,8 @@ def cmd_sweep(args) -> int:
                  log_spaced=not args.linear, policy=_policy_from(args),
                  workers=max(1, args.workers))
     out = Path(args.out) if args.out else Path(f"sweep_{args.shape}.csv")
-    _write_atomic(out, _csv(SWEEP_HEADER, (
-        (r.gamma_t, r.c11_re, r.c11_im, r.c11_sq, r.c12_sq, r.cr_sq,
-         r.overlap_re, r.overlap_im) for r in rows)))
+    _write_atomic(out, _csv(SWEEP_HEADER, [[getattr(r, name) for r in rows]
+                                           for name in SWEEP_HEADER.split(",")]))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -174,7 +188,7 @@ def cmd_peak(args) -> int:
               "c11_at_peak_im": res.c11_at_peak.imag}
     text = _json_text(record)
     if args.out:
-        _write_atomic(Path(args.out), text)
+        _write_atomic(Path(args.out), [text])
     print(text, end="")
     return 0
 
@@ -186,12 +200,9 @@ def cmd_modes(args) -> int:
         raise SolverError(f"photon transfer negligible at gamma_t={sol.gamma_t:g}; "
                           "no orthogonal mode to export")
     out = Path(args.out) if args.out else Path(f"modes_{args.shape}.csv")
-    stride = max(1, args.stride)
-    t = sol.grid.times()[::stride]
-    p1, p2 = dec.psi1.values[::stride], dec.psi2.values[::stride]
-    _write_atomic(out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im",
-                            zip(t, p1.real, p1.imag, p2.real, p2.imag)))
-    print(f"wrote {len(t)} rows to {out}")
+    cols = _waveform_columns(sol, (dec.psi1, dec.psi2), max(1, args.stride))
+    _write_atomic(out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im", cols))
+    print(f"wrote {len(cols[0])} rows to {out}")
     return 0
 
 

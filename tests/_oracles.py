@@ -2,9 +2,11 @@
 
 Everything here was derived by hand integration of the driven relaxation
 equations (and double-checked symbolically); none of it goes through the
-package's integrators, so agreement is a genuine cross-check. The one
-exception is `rk4_full_bloch`, a plain step-by-step copy of the RK4 oracle
-kept to check the faster `pulsegate.full_bloch` against.
+package's integrators, so agreement is a genuine cross-check. Two
+exceptions are plain copies of faster package code, kept as references:
+`rk4_full_bloch`, the step-by-step RK4 oracle that `pulsegate.full_bloch`
+is checked against, and `csv_text`, the one-value-at-a-time CSV formatter
+that the CLI's block writer is checked against.
 
 Conventions: Gamma = 1, times in 1/Gamma.
 """
@@ -132,3 +134,13 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
                 f"or reduce |alpha|={abs(alpha):g}")
         sm[k + 1], sz[k + 1] = s, z
     return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
+
+
+# -- CLI file format --------------------------------------------------------
+
+def csv_text(header, rows):
+    """CSV text with every value formatted on its own at 17 significant
+    digits: the byte-for-byte reference for `pulsegate.cli._csv`."""
+    lines = [header]
+    lines.extend(",".join(format(float(x), ".17g") for x in row) for row in rows)
+    return "\n".join(lines) + "\n"

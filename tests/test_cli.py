@@ -9,14 +9,34 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import _oracles as orc
 from pulsegate import cli, errors
 from pulsegate.cli import SWEEP_HEADER, main
+from pulsegate.pulses import GridPolicy
+from pulsegate.sweep import solve_point
 
 FAST = ["--points-per-unit", "400"]
+SIGNALS_HEADER = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
+                  "psi1_re,psi1_im,psi2_re,psi2_im")
+# values whose 17-digit text is easiest to get wrong: signed zero, the
+# smallest subnormal, the largest finite, the switch to exponent form
+# (1e16 and 1e-5), an inexact decimal, and the non-finite values
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e16, 1e-5, 0.1, math.nan, math.inf, -math.inf]
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_same_text(got, want):
+    """Equality of two large texts, reported as the first line that differs
+    (pytest's own diff of megabyte strings takes minutes)."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"{len(a)} lines against {len(b)}; first difference at line {i}: "
+                    f"{a[i] if i < len(a) else None!r} != {b[i] if i < len(b) else None!r}")
 
 
 class TestRespond:
@@ -36,8 +56,7 @@ class TestRespond:
         run("respond", "--shape", "gauss", "--gamma-t", "1", "--out", out,
             "--stride", "8", *FAST)
         lines = (tmp_path / "r.signals.csv").read_text().splitlines()
-        assert lines[0] == ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
-                            "psi1_re,psi1_im,psi2_re,psi2_im")
+        assert lines[0] == SIGNALS_HEADER
         data = np.loadtxt(lines[1:], delimiter=",")
         assert data.shape[1] == 11
         # b_in column integrates to ~1 (stride-8 trapezoid)
@@ -178,6 +197,70 @@ class TestModesCmd:
         # psi2 hugs the input side: its mass sits at t < 0
         p2 = data[:, 3]
         assert np.trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * np.trapezoid(p2**2, t)
+
+
+class TestWaveformFiles:
+    ARGS = ["--shape", "gauss", "--gamma-t", "1", *FAST]
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rerun_is_byte_identical(self, tmp_path, stride):
+        for tag in ("a", "b"):
+            assert run("respond", *self.ARGS, "--stride", stride,
+                       "--out", tmp_path / tag) == 0
+            assert run("modes", *self.ARGS, "--stride", stride,
+                       "--out", tmp_path / f"{tag}.modes.csv") == 0
+        for suffix in (".signals.csv", ".summary.json", ".modes.csv"):
+            a, b = (tmp_path / f"{tag}{suffix}" for tag in ("a", "b"))
+            assert_same_text(a.read_bytes().decode(), b.read_bytes().decode())
+
+    def test_files_match_the_per_value_reference(self, tmp_path):
+        run("respond", *self.ARGS, "--stride", "1", "--out", tmp_path / "r")
+        run("modes", *self.ARGS, "--stride", "1", "--out", tmp_path / "m.csv")
+        sol = solve_point("gauss", 1.0, GridPolicy(samples_per_unit=400))
+        d = sol.decomposition
+        b_in, b1, b3 = sol.b_in.values, sol.pair.linear.values, sol.pair.cubic.values
+        p1, p2 = d.psi1.values, d.psi2.values
+        t = sol.grid.times()
+        signals = orc.csv_text(SIGNALS_HEADER, zip(
+            t, b_in.real, b_in.imag, b1.real, b1.imag, b3.real, b3.imag,
+            p1.real, p1.imag, p2.real, p2.imag))
+        modes = orc.csv_text("t,psi1_re,psi1_im,psi2_re,psi2_im",
+                             zip(t, p1.real, p1.imag, p2.real, p2.imag))
+        text = (tmp_path / "r.signals.csv").read_text()
+        assert text.count("\n") == sol.grid.n + 1
+        assert_same_text(text, signals)
+        assert_same_text((tmp_path / "m.csv").read_text(), modes)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("ncols", [5, 8, 11])
+    def test_matches_the_per_value_reference(self, ncols, monkeypatch):
+        n = 23
+        rng = np.random.default_rng(ncols)
+        values = rng.standard_normal(n * ncols) * 10.0 ** rng.integers(-300, 300, n * ncols)
+        values[:2 * len(EDGE_VALUES)] = EDGE_VALUES * 2
+        cols = list(rng.permutation(values).reshape(n, ncols).T)
+        header = ",".join(f"c{j}" for j in range(ncols))
+        want = orc.csv_text(header, zip(*cols))
+        for block in (1, 7, n - 1, n, n + 1):
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+            chunks = list(cli._csv(header, cols))
+            assert len(chunks) == 1 + -(-n // block), f"block of {block}"
+            assert "".join(chunks) == want, f"block of {block}"
+
+    def test_failed_stream_leaves_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_bytes(b"old,file\n1,2\n")
+
+        def chunks():
+            yield "t,x\n"
+            yield "1,2\n" * 100_000  # past the file buffer, so the temp file has data
+            raise RuntimeError("mid-stream")
+
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            cli._write_atomic(target, chunks())
+        assert target.read_bytes() == b"old,file\n1,2\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestExitCodes:
