@@ -11,12 +11,16 @@ in bracket. Every file, the waveform CSVs of ``respond`` and ``modes``
 included, is written atomically (temp file + rename) with 17 significant
 digits, so identical invocations produce byte-identical output. CSV
 tables are formatted a block of rows at a time and streamed into the
-temp file, so no CSV table is held in memory as one string.
+temp file, so no CSV table is held in memory as one string. An existing
+file is replaced by exchanging it with the temp file where the system
+can (Linux ``renameat2``), so that the replacement does not wait on a
+disk flush; see `_write_atomic`.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -39,22 +43,47 @@ BUILTIN_SHAPES = [s.value for s in PulseShape if s is not PulseShape.CUSTOM]
 # enough that a block's text stays near 1 MB (11 columns of 17 digits)
 _CSV_BLOCK_ROWS = 4096
 
+# renameat2(2) and its flag that swaps two existing names in one step;
+# None where the C library has no renameat2 (outside Linux)
+_RENAMEAT2 = (getattr(ctypes.CDLL(None, use_errno=True), "renameat2", None)
+              if sys.platform.startswith("linux") else None)
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _exchange(tmp: str, path: Path) -> bool:
+    """Swap the names `tmp` and `path` atomically if `path` is an existing
+    file and the system can; False (nothing changed) otherwise."""
+    if _RENAMEAT2 is None or not path.is_file():
+        return False
+    return _RENAMEAT2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path),
+                      _RENAME_EXCHANGE) == 0
+
+
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks to a temp file beside `path`, then rename it
-    over `path`. If anything raises, the temp file is removed and an
-    existing `path` is left as it was."""
+    """Write the text chunks to a temp file beside `path`, then put it in
+    place of `path`. If anything raises, the temp file is removed and an
+    existing `path` is left as it was.
+
+    An existing `path` is swapped with the temp file, whose name then holds
+    the old text and is unlinked. A rename over an existing file would be
+    as atomic, but ext4 (auto_da_alloc) then writes the new file out to
+    disk before the rename returns, so each replacement would wait on the
+    disk: 0.1-1 s per waveform file. Where the swap is unavailable, or
+    `path` is new, `os.replace` renames."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        if _exchange(tmp, path):
+            os.unlink(tmp)
+        else:
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

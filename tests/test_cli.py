@@ -262,6 +262,31 @@ class TestCsvWriter:
         assert target.read_bytes() == b"old,file\n1,2\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    @pytest.mark.parametrize("swap", [True, False], ids=["exchange", "replace"])
+    def test_existing_target_is_replaced_without_leftovers(self, swap, tmp_path,
+                                                           monkeypatch):
+        if not swap:
+            monkeypatch.setattr(cli, "_RENAMEAT2", None)
+        elif cli._RENAMEAT2 is None:
+            pytest.skip("no renameat2 in this C library")
+        else:
+            def no_rename(*args):
+                raise AssertionError("an existing target must be swapped, not renamed over")
+            monkeypatch.setattr(cli.os, "replace", no_rename)
+        target = tmp_path / "w.csv"
+        target.write_bytes(b"old,file\n1,2\n")
+        assert cli._exchange(str(tmp_path / "absent"), target) is False
+        cli._write_atomic(target, ["t,x\n", "3,4\n"])
+        assert target.read_bytes() == b"t,x\n3,4\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_directory_in_the_way_is_not_swapped(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.mkdir()
+        with pytest.raises(OSError):
+            cli._write_atomic(target, ["t,x\n"])
+        assert target.is_dir() and list(tmp_path.iterdir()) == [target]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [(errors.ConfigError, 2),
