@@ -23,6 +23,7 @@ import argparse
 import ctypes
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +64,17 @@ def _exchange(tmp: str, path: Path) -> bool:
                       _RENAME_EXCHANGE) == 0
 
 
+def _file_mode(path: Path) -> int:
+    """The permission bits of `path` if it exists, else 0o666 less the
+    process umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)     # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write the text chunks to a temp file beside `path`, then put it in
     place of `path`. If anything raises, the temp file is removed and an
@@ -73,12 +85,17 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     as atomic, but ext4 (auto_da_alloc) then writes the new file out to
     disk before the rename returns, so each replacement would wait on the
     disk: 0.1-1 s per waveform file. Where the swap is unavailable, or
-    `path` is new, `os.replace` renames."""
+    `path` is new, `os.replace` renames.
+
+    The temp file, which mkstemp makes 0600, takes the permission bits of
+    an existing `path`, or those a plain open gives a new file under the
+    umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, _file_mode(path))
             fh.writelines(chunks)
         if _exchange(tmp, path):
             os.unlink(tmp)

@@ -230,18 +230,23 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
     return make_grid(t_start, t_start + (n - 1) * dt, n)
 
 
+def _nodes_through(grid: TimeGrid, t: float) -> int:
+    """Number of grid nodes at or before time t, which is the index of the
+    first node strictly past t (grid.n if there is none), with node times
+    computed exactly as TimeGrid.times does."""
+    # start just below the estimate, then step to the first node past t
+    i = min(max(math.floor((t - grid.t_start) / grid.dt) - 1, 0), grid.n)
+    while i < grid.n and grid.t_start + grid.dt * i <= t:
+        i += 1
+    return i
+
+
 def drive_window(spec: PulseSpec, grid: TimeGrid) -> int:
     """Number of leading grid nodes up to and including the first one past
     spec.drive_end(): from that node on the pulse has passed and the dipole
     relaxes freely. A pulse that drives up to the grid end gets all of them.
     """
-    t_off = spec.drive_end()
-    # start just below the estimate, then step to the first node strictly
-    # past t_off, with node times computed exactly as TimeGrid.times does
-    i = min(max(math.floor((t_off - grid.t_start) / grid.dt) - 1, 0), grid.n)
-    while i < grid.n and grid.t_start + grid.dt * i <= t_off:
-        i += 1
-    return min(max(i + 1, 2), grid.n)
+    return min(max(_nodes_through(grid, spec.drive_end()) + 1, 2), grid.n)
 
 
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
@@ -273,6 +278,28 @@ def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float
         near = v[lo:hi]
         near[np.abs(t[lo:hi] - tj) < 1e-6 * dt] = value
     return v
+
+
+def _exponential_runs(shape: PulseShape, T: float,
+                      grid: TimeGrid) -> list[tuple[int, int, float]]:
+    """The runs of consecutive grid nodes on which `_builtin_values` is a
+    single exponential b = C exp(lam t), as (first node, last node, lam):
+    the rectangular plateau (lam = 0), the rising exponential up to its
+    cutoff (1/T), and the symmetric exponential on either side of t = 0
+    (2/T up to the last node at or before it, -2/T from the first node past
+    it). Nodes halved at a jump are left out. Gaussian and custom pulses
+    have none."""
+    tol = 1e-6 * grid.dt     # the reach of _halve_on_jumps
+    if shape is PulseShape.RECTANGULAR:
+        runs = [(_nodes_through(grid, -T + tol), _nodes_through(grid, -tol) - 1, 0.0)]
+    elif shape is PulseShape.RISING_EXP:
+        runs = [(0, _nodes_through(grid, -tol) - 1, 1.0 / T)]
+    elif shape is PulseShape.SYM_EXP:
+        k = _nodes_through(grid, 0.0)
+        runs = [(0, k - 1, 2.0 / T), (k, grid.n - 1, -2.0 / T)]
+    else:
+        return []
+    return [run for run in runs if run[0] < run[1]]
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:

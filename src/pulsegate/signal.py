@@ -94,16 +94,16 @@ def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
-def _tail_weight(m: int, dt: float) -> float:
-    """Trapezoid weight, in units of dt, of a node's product conj(a) b once
-    the m grid nodes after it, where a and b relax freely as exp(-t), are
-    summed in. The product decays by q = exp(-2 dt) per node, so the weight
-    is the finite series 1 + q + ... + q^(m-1) + q^m/2; for m = 0 it is the
-    plain end weight 1/2.
-    """
-    x = 2.0 * dt
-    # q (1 - q^m) / (1 - q) through expm1, which keeps precision as dt -> 0
-    return 1.0 + math.exp(-x) * math.expm1(-x * m) / math.expm1(-x) - 0.5 * math.exp(-x * m)
+def _geometric_sum(x: float, m: int) -> float:
+    """exp(-x) + exp(-2x) + ... + exp(-m x) for x >= 0: the weight, in units
+    of the first node's value, of m nodes of a product that changes by
+    exp(-x) per node. It serves the free-decay ringdown after the drive
+    window and the exponential runs inside it."""
+    if x == 0.0:
+        return float(m)
+    # q (1 - q^m) / (1 - q), q = exp(-x), through expm1, which keeps
+    # precision as x -> 0
+    return math.exp(-x) * math.expm1(-x * m) / math.expm1(-x)
 
 
 def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:

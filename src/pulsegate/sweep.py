@@ -10,16 +10,22 @@ each point is converged on its own terms.
 The amplitude-only path (run_point, which sweeps and the peak search
 use) streams the drive window of the grid (pulses.drive_window) through
 blocks of BLOCK_NODES nodes and keeps only the three overlap integrals
-the amplitudes need, so its memory does not grow with the grid. Past the
-window every waveform is in free decay, whose trapezoid sum to the grid
-end is added in closed form. solve_spec runs the array pipeline on every
-node of the grid and stores every waveform; it refuses grids above
-WAVEFORM_NODE_BUDGET nodes.
+the amplitudes need, so its memory does not grow with the grid. Two
+stretches are summed in closed form instead of stepped. Where the pulse is
+one exponential over a run of nodes (the rectangular plateau, the rising
+exponential, either side of the symmetric exponential's kink), the outputs
+become exponentials once the chain's transients have decayed, and the rest
+of the run is a geometric sum: a long pulse costs a few blocks, not one
+step per node. Past the window every waveform is in free decay, whose
+trapezoid sum to the grid end is added the same way. solve_spec runs the
+array pipeline on every node of the grid and stores every waveform; it
+refuses grids above WAVEFORM_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
@@ -28,13 +34,14 @@ from typing import Union
 
 import numpy as np
 
-from .bloch import SystemParams, _decay_core, decay_block, solve_chain
+from .bloch import SystemParams, _decay_core, _etd_weights, decay_block, solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin_values,
-                     check_span, default_grid_for, drive_window, sample_pulse)
-from .signal import ComplexSignal, TimeGrid, _dot, _tail_weight, require_finite
+                     _exponential_runs, check_span, default_grid_for, drive_window,
+                     sample_pulse)
+from .signal import ComplexSignal, TimeGrid, _dot, _geometric_sum, require_finite
 from .twophoton import (OutputDecomposition, LimitReport, c12_sq_from, compute_cr_sq,
                         decompose, limit_report)
 
@@ -48,6 +55,11 @@ BLOCK_NODES = 16384
 # orders and the outputs at 8-16 bytes each): 2**24 nodes is about 1.74 GB,
 # the most a 2-core / 7 GB machine is asked to hold.
 WAVEFORM_NODE_BUDGET = 2**24
+# An exponential run is summed in closed form once its transients are below
+# 2**-53 of its driven part, the rounding of the node values it replaces.
+_SETTLED = 2.0**-53
+# the largest argument math.exp takes without overflow
+_EXP_MAX = math.log(sys.float_info.max)
 
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
@@ -139,6 +151,69 @@ def solve_point(shape: ShapeLike, gamma_t: float,
     return solve_spec(_builtin_spec(_as_shape(shape), gamma_t), policy)
 
 
+def _settling_nodes(lam: float, dt: float, b: float, u: float, w: float,
+                    limit: int) -> int | None:
+    """Nodes after a node of a run of b = C exp(lam t) at which the state
+    (u, w) there is its driven part to 2**-53; None if that is `limit` or
+    more nodes on, or cannot be told.
+
+    With rho = exp(lam dt), the ETD recurrence driven by x1 = sqrt(2) b is
+    solved by u = c x1 + transient, c = (w0 + w1 rho) / (rho - E), and the
+    one driven by x3 = -2 sqrt(2) b u^2 by w = d P + transient, with P the
+    x3 of u = c x1 and d = (w0 + w1 rho^3) / (rho^3 - E). Relative to the
+    driven parts the transients shrink by tau = E / min(rho, rho^3) per
+    node. So k nodes on, they are at most (du + dw) tau^k, from the
+    mismatches du and dw of u and w measured here, plus the response of w
+    to the forcing (2 + du) du that u's mismatch puts into x3, at most
+    (2 + du) du |1 - E / rho^3| k tau^(k-1): a factor k, since that
+    forcing resonates with w's own decay on the rectangular plateau.
+    """
+    E, w0, w1 = _etd_weights(1.0, dt)
+    log_tau = -dt * (1.0 + min(lam, 3.0 * lam))
+    # rho - E and rho^3 - E without cancellation: 1 - E is exact
+    gap1 = math.expm1(lam * dt) + (1.0 - E)
+    gap3 = math.expm1(3.0 * lam * dt) + (1.0 - E)
+    if log_tau >= 0.0 or min(gap1, gap3) <= 0.0:
+        # tau >= 1, the symmetric exponential's trailing side at T <= 6:
+        # the driven part decays as fast as the transients or faster
+        return None
+    rho = math.exp(lam * dt)
+    u_drv = (w0 + w1 * rho) / gap1 * math.sqrt(2.0) * b
+    w_drv = (w0 + w1 * rho**3) / gap3 * (-2.0 * math.sqrt(2.0) * b * u_drv * u_drv)
+    if not min(abs(u_drv), abs(w_drv)) >= sys.float_info.min:
+        return None     # underflowed (a long lead-in): nothing to measure against
+    du = abs(u - u_drv) / abs(u_drv)
+    dw = abs(w - w_drv) / abs(w_drv)
+    cross = (2.0 + du) * du * abs(gap3) / rho**3 / math.exp(log_tau)
+    if not math.isfinite(dw + cross):
+        return None
+    # smallest k with (du + dw + cross k) tau^k <= 2**-53, by a fixed-point
+    # iteration that climbs to it from k = 0
+    k = 0
+    while True:
+        bound = du + dw + cross * k
+        k_next = 0 if bound <= _SETTLED else math.ceil(math.log(_SETTLED / bound) / log_tau)
+        if k_next >= limit:
+            return None
+        if k_next <= k:
+            return k
+        k = k_next
+
+
+def _run_sums(lam: float, dt: float, k: int, b1: float, b3: float) -> np.ndarray:
+    """[[sum b1^2, sum b1 b3], [sum b1 b3, sum b3^2]] over k nodes of a run
+    on which b1 and b3 change by exp(lam dt) and exp(3 lam dt) per node,
+    anchored at the larger end: for lam > 0, (b1, b3) are the values at the
+    last of the k nodes and the terms shrink down from it; otherwise they
+    are the values at the node before the first and the terms shrink up
+    from it."""
+    def weight(p: float) -> float:
+        x = p * abs(lam) * dt
+        return 1.0 + _geometric_sum(x, k - 1) if lam > 0 else _geometric_sum(x, k)
+    d13 = b1 * b3 * weight(4.0)
+    return np.array(((b1 * b1 * weight(2.0), d13), (d13, b3 * b3 * weight(6.0))))
+
+
 def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     """Trapezoid Gram matrix of the outputs of a built-in pulse on `grid`,
     [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]].
@@ -148,25 +223,37 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     the ETD recurrence carried over from the block before (all real on
     resonance), and the block's b1 = b - sqrt(2) u and b3 = -sqrt(2) w only
     add to the running sums. Every node value is bitwise the one the array
-    pipeline computes; only the summation order differs. On the nodes past
-    the window b1 and b3 are their last window values times exp(-(t - t_last)),
-    so those nodes enter as the last node's closed-form trapezoid weight.
+    pipeline computes; only the summation order differs.
+
+    Two stretches are summed in closed form instead. Inside a run on which
+    the pulse is one exponential exp(lam t) (pulses._exponential_runs), the
+    state at each block end is checked: once the transients left from the
+    run's entry are below 2**-53 of the driven part (_settling_nodes), b1
+    and b3 go as exp(lam t) and exp(3 lam t) to the run's last node, so the
+    blocks step only to that node, the rest of the run enters as geometric
+    sums, and the state jumps to the run's last node, from which stepping
+    resumes. The pulse's jumps and kink are always stepped. On the nodes
+    past the window b1 and b3 are their last window values times
+    exp(-(t - t_last)), so those nodes enter as the last node's closed-form
+    trapezoid weight.
     """
     check_span(spec, grid)
-    dt = grid.dt
+    shape, T, dt = spec.shape, spec.duration, grid.dt
     n = drive_window(spec, grid)
+    runs = [(lo, min(hi, n - 1), lam) for lo, hi, lam in _exponential_runs(shape, T, grid)]
     rt2 = math.sqrt(2.0)
     gram = np.zeros((2, 2))
-    for a in range(0, n, BLOCK_NODES):
-        b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
+    a, jump = 0, None
+    while a < n:
+        stop = min(a + BLOCK_NODES, n, n if jump is None else jump[0] + 1)
+        b = _builtin_values(shape, T, grid.times(a, stop), dt)
         x1 = rt2 * b
         u = (_decay_core(x1, 1.0, dt) if a == 0
-             else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
+             else decay_block(x1, 1.0, dt, x1_prev, u_prev))
         x3 = -2.0 * rt2 * b
         x3 *= u * u
         w = (_decay_core(x3, 1.0, dt) if a == 0
-             else decay_block(x3, 1.0, dt, x3_prev, w[-1]))
-        x1_prev, x3_prev = x1[-1], x3[-1]
+             else decay_block(x3, 1.0, dt, x3_prev, w_prev))
         b1 = u * -rt2
         b1 += b
         b3 = w * -rt2
@@ -174,8 +261,38 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
         gram += ((_dot(b1, b1), d13), (d13, _dot(b3, b3)))
         if a == 0:
             first = np.array((b1[0], b3[0]))
-    last = np.array((b1[-1], b3[-1]))
-    last_weight = _tail_weight(grid.n - n, dt)
+        x1_prev, u_prev, x3_prev, w_prev = x1[-1], u[-1], x3[-1], w[-1]
+        b1_end, b3_end = b1[-1], b3[-1]
+        a, e = stop, stop - 1
+        while runs and runs[0][1] <= e:
+            del runs[0]         # stepped through to its end
+        if jump is None and runs and runs[0][0] <= e:
+            _, hi, lam = runs[0]
+            k = _settling_nodes(lam, dt, float(b[-1]), float(u_prev), float(w_prev), hi - e)
+            if k is not None:
+                # the scale across the jump from node times, not rho**(hi - m),
+                # whose rounding the power amplifies
+                span = (grid.t_start + dt * hi) - (grid.t_start + dt * (e + k))
+                if 3.0 * lam * span < _EXP_MAX:
+                    jump = (e + k, hi, lam, span)
+                    del runs[0]
+        if jump is not None and jump[0] == e:
+            m, hi, lam, span = jump
+            u_prev = u_prev * math.exp(lam * span)
+            w_prev = w_prev * math.exp(3.0 * lam * span)
+            b_hi = _builtin_values(shape, T, grid.times(hi, hi + 1), dt)[0]
+            x1_prev, x3_prev = rt2 * b_hi, -2.0 * rt2 * b_hi * (u_prev * u_prev)
+            b1_m, b3_m = b1_end, b3_end
+            b1_end, b3_end = u_prev * -rt2 + b_hi, w_prev * -rt2
+            gram += _run_sums(lam, dt, hi - m,
+                              *((b1_end, b3_end) if lam > 0 else (b1_m, b3_m)))
+            a, jump = hi + 1, None
+    last = np.array((b1_end, b3_end))
+    # the last node's trapezoid weight, in units of dt, once the `tail`
+    # nodes after it, where b1 and b3 relax as exp(-t), are summed in:
+    # with q = exp(-2 dt), 1 + q + ... + q^(tail-1) + q^tail/2
+    x, tail = 2.0 * dt, grid.n - n
+    last_weight = 1.0 + _geometric_sum(x, tail) - 0.5 * math.exp(-x * tail)
     gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(last, last)
     gram *= dt
     require_finite(gram)

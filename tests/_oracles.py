@@ -2,20 +2,27 @@
 
 Everything here was derived by hand integration of the driven relaxation
 equations (and double-checked symbolically); none of it goes through the
-package's integrators, so agreement is a genuine cross-check. Two
+package's integrators, so agreement is a genuine cross-check. Three
 exceptions are plain copies of faster package code, kept as references:
 `rk4_full_bloch`, the step-by-step RK4 oracle that `pulsegate.full_bloch`
-is checked against, and `csv_text`, the one-value-at-a-time CSV formatter
-that the CLI's block writer is checked against.
+is checked against, `stepped_output_gram`, the streamed Gram matrix with
+every drive-window node stepped, that the closed-form exponential runs of
+`pulsegate.sweep._output_gram` are checked against, and `csv_text`, the
+one-value-at-a-time CSV formatter that the CLI's block writer is checked
+against.
 
 Conventions: Gamma = 1, times in 1/Gamma.
 """
 
+import math
+
 import numpy as np
 
-from pulsegate.bloch import FullBlochState, SystemParams
+from pulsegate.bloch import FullBlochState, SystemParams, _decay_core, decay_block
 from pulsegate.errors import StepInstabilityError
-from pulsegate.signal import ComplexSignal
+from pulsegate.pulses import _builtin_values, check_span, drive_window
+from pulsegate.signal import ComplexSignal, _dot, _geometric_sum, require_finite
+from pulsegate.sweep import BLOCK_NODES
 
 SQ2 = np.sqrt(2.0)
 
@@ -134,6 +141,43 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
                 f"or reduce |alpha|={abs(alpha):g}")
         sm[k + 1], sz[k + 1] = s, z
     return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
+
+
+# -- the streamed Gram matrix with every drive-window node stepped -----------
+
+def stepped_output_gram(spec, grid):
+    """`pulsegate.sweep._output_gram` as first written: every node of the
+    drive window stepped block by block, only the free-decay ringdown past
+    it in closed form (its weight written through `_geometric_sum`)."""
+    check_span(spec, grid)
+    dt = grid.dt
+    n = drive_window(spec, grid)
+    rt2 = math.sqrt(2.0)
+    gram = np.zeros((2, 2))
+    for a in range(0, n, BLOCK_NODES):
+        b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
+        x1 = rt2 * b
+        u = (_decay_core(x1, 1.0, dt) if a == 0
+             else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
+        x3 = -2.0 * rt2 * b
+        x3 *= u * u
+        w = (_decay_core(x3, 1.0, dt) if a == 0
+             else decay_block(x3, 1.0, dt, x3_prev, w[-1]))
+        x1_prev, x3_prev = x1[-1], x3[-1]
+        b1 = u * -rt2
+        b1 += b
+        b3 = w * -rt2
+        d13 = _dot(b1, b3)
+        gram += ((_dot(b1, b1), d13), (d13, _dot(b3, b3)))
+        if a == 0:
+            first = np.array((b1[0], b3[0]))
+    last = np.array((b1[-1], b3[-1]))
+    x, m = 2.0 * dt, grid.n - n
+    last_weight = 1.0 + _geometric_sum(x, m) - 0.5 * math.exp(-x * m)
+    gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(last, last)
+    gram *= dt
+    require_finite(gram)
+    return gram
 
 
 # -- CLI file format --------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -279,6 +280,26 @@ class TestCsvWriter:
         cli._write_atomic(target, ["t,x\n", "3,4\n"])
         assert target.read_bytes() == b"t,x\n3,4\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["exchange", "replace"])
+    def test_file_modes_follow_the_umask_and_the_old_file(self, swap, tmp_path,
+                                                          monkeypatch):
+        if not swap:
+            monkeypatch.setattr(cli, "_RENAMEAT2", None)
+        elif cli._RENAMEAT2 is None:
+            pytest.skip("no renameat2 in this C library")
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"old,file\n")
+        kept.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            cli._write_atomic(tmp_path / "new.csv", ["t,x\n"])
+            cli._write_atomic(kept, ["t,x\n"])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_bytes() == b"t,x\n"
 
     def test_a_directory_in_the_way_is_not_swapped(self, tmp_path):
         target = tmp_path / "w.csv"

@@ -6,7 +6,7 @@ import pytest
 from pulsegate import (GridPolicy, PulseFileError, PulseShape, PulseSpec,
                        UnsupportedSpanError, default_grid_for, load_pulse_file,
                        make_grid, norm_sq, sample_pulse)
-from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values
+from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values, _exponential_runs
 
 ALL_BUILTINS = [PulseSpec.rectangular, PulseSpec.rising_exponential,
                 PulseSpec.symmetric_exponential, PulseSpec.gaussian]
@@ -186,6 +186,43 @@ class TestJumpSearch:
             for a in range(0, len(t), size):
                 got = _builtin_values(shape, T, t[a:a + size], dt)
                 assert got.tobytes() == ref[a:a + size].tobytes()
+
+
+class TestExponentialRuns:
+    @pytest.mark.parametrize("shape", [PulseShape.RECTANGULAR, PulseShape.RISING_EXP,
+                                       PulseShape.SYM_EXP])
+    @pytest.mark.parametrize("T, dt, t0", TestJumpSearch.GRIDS + [(3.0, 1.5e-3, None)])
+    def test_runs_are_single_exponentials(self, shape, T, dt, t0):
+        # each run is C exp(lam t) node for node; the nodes just outside a
+        # rect or rising-exp run are off it (past a jump, or halved on one),
+        # and the symmetric exponential's two runs meet across t = 0
+        if t0 is None:
+            grid = default_grid_for(PulseSpec(shape, T))
+        else:
+            n = int((T + 2 - t0) / dt) + 3
+            grid = make_grid(t0, t0 + dt * (n - 1), n)
+        t = grid.times()
+        b = _builtin_values(shape, T, t, grid.dt)
+        runs = _exponential_runs(shape, T, grid)
+        for lo, hi, lam in runs:
+            assert 0 <= lo < hi < grid.n
+            np.testing.assert_allclose(b[lo:hi + 1], b[lo] * np.exp(lam * (t[lo:hi + 1] - t[lo])),
+                                       rtol=1e-12, atol=0)
+            if shape is not PulseShape.SYM_EXP:
+                for i, j in ((lo - 1, lo), (hi + 1, hi)):
+                    if 0 <= i < grid.n:
+                        assert abs(b[i] - b[j] * np.exp(lam * (t[i] - t[j]))) > 1e-9 * b[j]
+        if shape is PulseShape.SYM_EXP:
+            (lo1, hi1, lam1), (lo2, hi2, lam2) = runs
+            assert (lo1, hi2, lam1, lam2) == (0, grid.n - 1, 2.0 / T, -2.0 / T)
+            assert hi1 + 1 == lo2 and t[hi1] <= 0.0 < t[lo2]
+        elif t0 is None:
+            assert len(runs) == 1
+
+    @pytest.mark.parametrize("spec", [PulseSpec.gaussian(2.0),
+                                      PulseSpec.custom(np.linspace(-1, 1, 5), np.ones(5))])
+    def test_gauss_and_custom_have_none(self, spec):
+        assert _exponential_runs(spec.shape, spec.duration, default_grid_for(spec)) == []
 
 
 class TestCustomPulses:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pulsegate import (ComplexSignal, GridMismatchError, InvalidRangeError,
                        PulseSpec, default_grid_for, inner_product, make_grid,
                        norm_sq, sample_pulse)
-from pulsegate.signal import _tail_weight
+from pulsegate.signal import _geometric_sum
 
 
 def signal_on(grid, fn):
@@ -153,7 +153,13 @@ class TestNormSq:
 
 
 class TestFreeDecayTail:
-    """The closed-form weight of m free-decay nodes after a node."""
+    """The closed-form weight of m free-decay nodes after a node, through
+    the geometric sum that the exponential runs use too."""
+
+    @staticmethod
+    def tail_weight(m, dt):
+        x = 2.0 * dt
+        return 1.0 + _geometric_sum(x, m) - 0.5 * np.exp(-x * m)
 
     @pytest.mark.parametrize("m", [0, 1, 100_000])
     def test_matches_filled_trapezoid(self, m):
@@ -163,14 +169,17 @@ class TestFreeDecayTail:
         for dt in (1e-1, 1e-3, 1e-6):
             q = np.exp(-2.0 * dt * np.arange(m + 1))
             want = q[:-1].sum() + 0.5 * q[-1]
-            assert abs(_tail_weight(m, dt) - want) <= 1e-13 * want, dt
-        assert _tail_weight(0, 1e-3) == 0.5
+            assert abs(self.tail_weight(m, dt) - want) <= 1e-13 * want, dt
+            assert abs(_geometric_sum(2.0 * dt, m) - q[1:].sum()) <= 1e-13 * want, dt
+        assert self.tail_weight(0, 1e-3) == 0.5
+        # no decay: m nodes of weight 1
+        assert _geometric_sum(0.0, m) == m
 
     def test_tail_stops_at_grid_end(self):
         # unit samples on [0, 1], then a tail decaying as e^-(t - 1) for 500
         # nodes to t = 1.5: the integral is 1 + (1 - e^-1)/2, not the 1.5 of
         # a tail summed to infinity
         dt = 1e-3
-        total = dt * (999.5 + _tail_weight(500, dt))
+        total = dt * (999.5 + self.tail_weight(500, dt))
         assert total == pytest.approx(1 + (1 - np.exp(-1)) / 2, rel=1e-6)
         assert abs(total - 1.5) > 0.1

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsegate
+from pulsegate import bloch
 from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
                        NoPeakError, NormViolationError, PulseShape, PulseSpec,
                        default_grid_for, drive_window, find_peak_c12,
                        inner_product, mode_shapes_at, norm_sq, run_point,
                        sample_pulse, solve_point, solve_spec, sweep)
+from pulsegate.pulses import _builtin_values
 
 import _oracles as orc
 
@@ -334,6 +337,103 @@ class TestStreamedSolve:
         monkeypatch.setattr(sweep_module, "_builtin_values", poisoned)
         with pytest.raises(ValueError, match="NaN or infinite"):
             run_point("gauss", 1.0)
+
+
+RUN_SHAPES = ["rect", "rising-exp", "sym-exp"]
+
+
+class TestExponentialRuns:
+    """`_output_gram` sums the settled stretches of the exponential runs in
+    closed form; `_oracles.stepped_output_gram` steps every node."""
+
+    @staticmethod
+    def check(shape, gt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_point(shape, gt)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sweep_module, "_output_gram", orc.stepped_output_gram)
+                want = run_point(shape, gt)
+        np.testing.assert_allclose(row_fields(got), row_fields(want), rtol=0, atol=1e-13,
+                                   err_msg=f"{shape} at gamma_t={gt!r}")
+
+    @given(shape=st.sampled_from(RUN_SHAPES), log_gt=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_stepping(self, shape, log_gt):
+        self.check(shape, 10.0 ** log_gt)
+
+    # T = 2 and T = 6: the symmetric exponential's trailing side resonates
+    # with the decay of u and of w
+    @pytest.mark.parametrize("gt", [2 - 1e-9, 2 + 1e-9, 6 - 1e-9, 6 + 1e-9])
+    @pytest.mark.parametrize("shape", RUN_SHAPES)
+    def test_agrees_at_resonances(self, shape, gt):
+        self.check(shape, gt)
+
+    @pytest.mark.parametrize("shape", ["rect", "rising-exp"])
+    def test_agrees_at_range_end(self, shape):
+        self.check(shape, 1e4)
+
+    @pytest.mark.parametrize("shape", ["rising-exp", "sym-exp"])
+    def test_long_pulse_samples_few_nodes(self, shape, monkeypatch):
+        # stepping every node of the window samples 3.8M (rising-exp) and
+        # 8M (sym-exp) nodes here
+        sampled = []
+
+        def counting(*args):
+            v = _builtin_values(*args)
+            sampled.append(len(v))
+            return v
+        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        run_point(shape, 1000.0)
+        assert sum(sampled) < 10 * sweep_module.BLOCK_NODES
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0 / 50, 1.0, 2.0 / 50, -2.0 / 10])
+    def test_settling_bound_holds_along_a_run(self, lam):
+        # from rest at node 0 the bound must cover the mismatch actually left
+        # at each later node j, so measuring it there can only bring the
+        # take-over node closer: j + k_j <= k_0. lam = 0 is the rect plateau,
+        # where u's transient resonates with w's decay; lam = 1 the rising
+        # exponential at T = 1, where u's squared transient does.
+        dt = 3e-3
+        b = np.exp(lam * dt * np.arange(4000))
+        u = bloch._decay_core(math.sqrt(2.0) * b, 1.0, dt)
+        w = bloch._decay_core(-2.0 * math.sqrt(2.0) * b * u * u, 1.0, dt)
+        k0 = sweep_module._settling_nodes(lam, dt, b[0], u[0], w[0], 10**9)
+        for j in range(100, 4000, 300):
+            kj = sweep_module._settling_nodes(lam, dt, b[j], u[j], w[j], 10**9)
+            assert j + kj <= k0, j
+
+    def test_unsettled_runs_are_stepped(self):
+        dt = 1.5e-3
+        # the symmetric exponential's trailing side at T <= 6 decays no
+        # faster than the dipole: its transients never fall behind
+        for T in (2.0, 6.0 - 1e-9, 6.0):
+            assert sweep_module._settling_nodes(-2.0 / T, dt, 1.0, 0.5, -0.1, 10**9) is None
+        # a lead-in whose driven w underflows gives nothing to measure against
+        assert sweep_module._settling_nodes(1.0, dt, 1e-120, 0.0, 0.0, 10**9) is None
+        # a settling point past the run's end is no take-over
+        assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, 0.0, 1000) is None
+
+
+def test_default_sweep_matches_pinned_rows():
+    """The default 121-point sweep of each shape against
+    tests/data/default_sweep.csv: the rows of the solve that stepped every
+    node of the drive window, at 17 significant digits. Gauss has no
+    exponential runs and is bitwise the same; the others agree to 1e-13."""
+    pinned = {}
+    with open(Path(__file__).parent / "data" / "default_sweep.csv") as fh:
+        assert next(fh).rstrip("\n").split(",") == ["shape", "gamma_t", *ROW_FIELDS]
+        for line in fh:
+            shape, *values = line.rstrip("\n").split(",")
+            pinned.setdefault(shape, []).append([float(v) for v in values])
+    assert sorted(pinned) == sorted(BUILTIN)
+    for shape in BUILTIN:
+        got = np.array([[r.gamma_t, *row_fields(r)] for r in sweep(shape)])
+        want = np.array(pinned[shape])
+        if shape == "gauss":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=shape)
 
 
 # Runs in a fresh interpreter, whose peak resident set is the solves' own.
