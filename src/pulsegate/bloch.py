@@ -86,35 +86,29 @@ def _etd_weights(rate: float, h: float) -> tuple[float, float, float]:
     return float(E), float(w0), float(w1)
 
 
-def decay_block(x: np.ndarray, rate: float, dt: float, x_prev, s_prev) -> np.ndarray:
+def decay_block(x: np.ndarray, rate: float, dt: float, x_prev=None,
+                s_prev=0.0) -> np.ndarray:
     """The recurrence s_{n+1} = E s_n + w0 x_n + w1 x_{n+1} of
-    d s/dt = -rate*s + x(t) over one block of drive samples x, continuing
-    from the drive x_prev and the state s_prev at the node before the block.
+    d s/dt = -rate*s + x(t) over one block of real or complex drive samples
+    x, continuing from the drive x_prev and the state s_prev at the node
+    before the block; with no x_prev the chain starts at rest, s = 0, on the
+    block's first node.
 
     Chaining blocks, each fed the last drive sample and state of the one
     before, reproduces the recurrence over the joined array bit for bit.
     """
     E, w0, w1 = _etd_weights(rate, dt)
     g = w1 * x
-    g[0] += w0 * x_prev
+    g[0] = 0.0 if x_prev is None else g[0] + w0 * x_prev
     g[1:] += w0 * x[:-1]
     return lfilter([1.0], [1.0, -E], g, zi=[E * s_prev])[0]
-
-
-def _decay_core(x: np.ndarray, rate: float, dt: float) -> np.ndarray:
-    """The recurrence over one whole real or complex drive array, s_0 = 0:
-    a single block after the initial node."""
-    out = np.empty(len(x), dtype=np.result_type(x, np.float64))
-    out[0] = 0.0
-    out[1:] = decay_block(x[1:], rate, dt, x[0], 0.0)
-    return out
 
 
 def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
     """Integrate d s/dt = -rate*s + drive(t) with s(t_start) = 0, in the
     drive's own dtype (the rate is real, so real and imaginary parts
     decouple and a real drive stays in real arithmetic)."""
-    return ComplexSignal(drive.grid, _decay_core(drive.values, rate, drive.grid.dt))
+    return ComplexSignal(drive.grid, decay_block(drive.values, rate, drive.grid.dt))
 
 
 def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ComplexSignal:
@@ -122,7 +116,7 @@ def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams()) 
     integral exp(-Gamma (t-s)) b_in(s) ds. u is integrated without the
     factor i, so a real pulse runs in real arithmetic."""
     g = params.gamma
-    u = _decay_core(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt)
+    u = decay_block(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt)
     return ComplexSignal(b_in.grid, 1j * u)
 
 
@@ -142,7 +136,7 @@ def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
         raise GridMismatchError("b_in and sigmaz2 must share a grid")
     g = params.gamma
     x = -2 * np.sqrt(2 * g) * b_in.values * sigmaz2.values.real
-    return ComplexSignal(b_in.grid, 1j * _decay_core(x, g, b_in.grid.dt))
+    return ComplexSignal(b_in.grid, 1j * decay_block(x, g, b_in.grid.dt))
 
 
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:

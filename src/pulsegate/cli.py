@@ -139,15 +139,14 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help=f"grid extent before the pulse (default {DEFAULT_POLICY.lead_pad})")
 
 
-def _add_shape_flags(p: argparse.ArgumentParser, with_gamma_t: bool) -> None:
+def _add_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", required=True, choices=BUILTIN_SHAPES + ["custom"],
                    help="input pulse family")
     p.add_argument("--pulse-file", type=Path, default=None,
                    help="sampled waveform for --shape custom: one sample per line, "
                         "columns t,value or t,re,im, ascending t")
-    if with_gamma_t:
-        p.add_argument("--gamma-t", type=float, default=None,
-                       help="pulse duration in units 1/Gamma (built-in shapes)")
+    p.add_argument("--gamma-t", type=float, default=None,
+                   help="pulse duration in units 1/Gamma (built-in shapes)")
 
 
 def _policy_from(args) -> GridPolicy:
@@ -160,13 +159,13 @@ def _solution_from(args) -> PointSolution:
     if args.shape == "custom":
         if args.pulse_file is None:
             raise ConfigError("--shape custom requires --pulse-file")
-        if getattr(args, "gamma_t", None) is not None:
+        if args.gamma_t is not None:
             raise ConfigError("--gamma-t does not apply to custom pulses; "
                               "the file carries its own time axis")
         return solve_spec(PulseSpec.from_file(args.pulse_file), policy)
     if args.pulse_file is not None:
         raise ConfigError("--pulse-file only applies to --shape custom")
-    if getattr(args, "gamma_t", None) is None:
+    if args.gamma_t is None:
         raise ConfigError(f"--gamma-t is required for --shape {args.shape}")
     return solve_point(args.shape, args.gamma_t, policy)
 
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("respond", help="single-duration response and summary")
-    _add_shape_flags(p, with_gamma_t=True)
+    _add_shape_flags(p)
     _add_grid_flags(p)
     p.add_argument("--out", help="output prefix (writes <out>.signals.csv and summary)")
     p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_peak)
 
     p = sub.add_parser("modes", help="export psi1/psi2 waveforms")
-    _add_shape_flags(p, with_gamma_t=True)
+    _add_shape_flags(p)
     _add_grid_flags(p)
     p.add_argument("--out", help="CSV path (default modes_<shape>.csv)")
     p.add_argument("--stride", type=int, default=1,

@@ -81,9 +81,6 @@ class GridPolicy:
 
 DEFAULT_POLICY = GridPolicy()
 
-# extra sampling density on top of the policy rule, per shape
-_REFINEMENT = {PulseShape.SYM_EXP: 2}
-
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -198,34 +195,31 @@ def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> TimeGrid:
     """Grid covering the pulse plus its decay tail, anchored so that the
     pulse discontinuities land at segment midpoints (see module docstring)."""
-    dt = policy.step_for(spec.duration, _REFINEMENT.get(spec.shape, 1))
+    T = spec.duration
+    dt = policy.step_for(T, 2 if spec.shape is PulseShape.SYM_EXP else 1)
     lo, hi = spec.support()
 
     if spec.shape is PulseShape.RECTANGULAR:
-        T = spec.duration
         m = int(math.ceil(T / dt))           # in-pulse samples; edges mid-segment
         dt = T / m
         n_lead = int(math.ceil(policy.lead_pad / dt + 0.5))
         n_tail = int(math.ceil(policy.tail / dt + 0.5))
         t_start = -T - (n_lead - 0.5) * dt
         n = n_lead + m + n_tail
-    elif spec.shape is PulseShape.RISING_EXP:
-        # only the t=0 cutoff needs anchoring; nodes at +-(k + 1/2) dt
-        n_left = int(math.ceil((-lo + policy.lead_pad) / dt + 0.5))
-        n_tail = int(math.ceil(policy.tail / dt + 0.5))
-        t_start = -(n_left - 0.5) * dt
-        n = n_left + n_tail
-    elif spec.shape in (PulseShape.SYM_EXP, PulseShape.GAUSSIAN):
-        # kink/center at t=0 on a node
-        n_left = int(math.ceil((-lo + policy.lead_pad) / dt))
-        n_right = int(math.ceil((hi + policy.tail) / dt))
-        t_start = -n_left * dt
-        n = n_left + n_right + 1
-    else:
+    elif spec.shape is PulseShape.CUSTOM:
         span = (hi + policy.tail) - (lo - policy.lead_pad)
         n = int(math.ceil(span / dt)) + 1
         t_start = lo - policy.lead_pad
         return make_grid(t_start, t_start + span, n)
+    else:
+        # nodes at (k + h) dt: t = 0 mid-segment where it is a jump (the
+        # rising exponential's cutoff), on a node where it is a kink or a
+        # centre (symmetric exponential, gaussian)
+        h = 0.5 if spec.shape is PulseShape.RISING_EXP else 0.0
+        n_left = int(math.ceil((-lo + policy.lead_pad) / dt + h))
+        n_right = int(math.ceil((hi + policy.tail) / dt + h))
+        t_start = -(n_left - h) * dt
+        n = n_left + n_right + int(h == 0.0)     # and the node on t = 0, if any
 
     return make_grid(t_start, t_start + (n - 1) * dt, n)
 

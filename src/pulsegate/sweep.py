@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .bloch import SystemParams, _decay_core, _etd_weights, decay_block, solve_chain
+from .bloch import SystemParams, _etd_weights, decay_block, solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
@@ -65,6 +65,8 @@ DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_PROBES = 13       # find_peak_c12's log-spaced probes across the bracket
+_PEAK_REL_TOL = 1e-3    # and the relative width in gamma_t its refinement ends at
 
 ShapeLike = Union[PulseShape, str]
 
@@ -220,10 +222,15 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
 
     The chain runs block by block over the drive window: the pulse is
     sampled at the block's node times, s1 = i u and s3 = i w follow from
-    the ETD recurrence carried over from the block before (all real on
-    resonance), and the block's b1 = b - sqrt(2) u and b3 = -sqrt(2) w only
-    add to the running sums. Every node value is bitwise the one the array
-    pipeline computes; only the summation order differs.
+    the ETD recurrence (all real on resonance), and the block's
+    b1 = b - sqrt(2) u and b3 = -sqrt(2) w only add to the running sums.
+    Every node value is bitwise the one the array pipeline computes; only
+    the summation order differs.
+
+    One state passes between blocks: the node state (x1, u, x3, w), the
+    drives sqrt(2) b and -2 sqrt(2) b u^2 and their responses, and the end
+    pair (b1, b3) at the last node done; at first, node 0 with the chain at
+    rest. Each block and each take-over reads it and leaves its last node.
 
     Two stretches are summed in closed form instead. Inside a run on which
     the pulse is one exponential exp(lam t) (pulses._exponential_runs), the
@@ -243,32 +250,29 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     runs = [(lo, min(hi, n - 1), lam) for lo, hi, lam in _exponential_runs(shape, T, grid)]
     rt2 = math.sqrt(2.0)
     gram = np.zeros((2, 2))
+    state = (None, 0.0, None, 0.0)
+    first = end = np.array((_builtin_values(shape, T, grid.times(0, 1), dt)[0], 0.0))
     a, jump = 0, None
     while a < n:
         stop = min(a + BLOCK_NODES, n, n if jump is None else jump[0] + 1)
         b = _builtin_values(shape, T, grid.times(a, stop), dt)
         x1 = rt2 * b
-        u = (_decay_core(x1, 1.0, dt) if a == 0
-             else decay_block(x1, 1.0, dt, x1_prev, u_prev))
+        u = decay_block(x1, 1.0, dt, *state[:2])
         x3 = -2.0 * rt2 * b
         x3 *= u * u
-        w = (_decay_core(x3, 1.0, dt) if a == 0
-             else decay_block(x3, 1.0, dt, x3_prev, w_prev))
+        w = decay_block(x3, 1.0, dt, *state[2:])
         b1 = u * -rt2
         b1 += b
         b3 = w * -rt2
         d13 = _dot(b1, b3)
         gram += ((_dot(b1, b1), d13), (d13, _dot(b3, b3)))
-        if a == 0:
-            first = np.array((b1[0], b3[0]))
-        x1_prev, u_prev, x3_prev, w_prev = x1[-1], u[-1], x3[-1], w[-1]
-        b1_end, b3_end = b1[-1], b3[-1]
+        state, end = (x1[-1], u[-1], x3[-1], w[-1]), np.array((b1[-1], b3[-1]))
         a, e = stop, stop - 1
         while runs and runs[0][1] <= e:
             del runs[0]         # stepped through to its end
         if jump is None and runs and runs[0][0] <= e:
             _, hi, lam = runs[0]
-            k = _settling_nodes(lam, dt, float(b[-1]), float(u_prev), float(w_prev), hi - e)
+            k = _settling_nodes(lam, dt, float(b[-1]), float(u[-1]), float(w[-1]), hi - e)
             if k is not None:
                 # the scale across the jump from node times, not rho**(hi - m),
                 # whose rounding the power amplifies
@@ -278,22 +282,18 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
                     del runs[0]
         if jump is not None and jump[0] == e:
             m, hi, lam, span = jump
-            u_prev = u_prev * math.exp(lam * span)
-            w_prev = w_prev * math.exp(3.0 * lam * span)
+            u_hi, w_hi = u[-1] * math.exp(lam * span), w[-1] * math.exp(3.0 * lam * span)
             b_hi = _builtin_values(shape, T, grid.times(hi, hi + 1), dt)[0]
-            x1_prev, x3_prev = rt2 * b_hi, -2.0 * rt2 * b_hi * (u_prev * u_prev)
-            b1_m, b3_m = b1_end, b3_end
-            b1_end, b3_end = u_prev * -rt2 + b_hi, w_prev * -rt2
-            gram += _run_sums(lam, dt, hi - m,
-                              *((b1_end, b3_end) if lam > 0 else (b1_m, b3_m)))
+            state = (rt2 * b_hi, u_hi, -2.0 * rt2 * b_hi * (u_hi * u_hi), w_hi)
+            end_m, end = end, np.array((u_hi * -rt2 + b_hi, w_hi * -rt2))
+            gram += _run_sums(lam, dt, hi - m, *(end if lam > 0 else end_m))
             a, jump = hi + 1, None
-    last = np.array((b1_end, b3_end))
     # the last node's trapezoid weight, in units of dt, once the `tail`
     # nodes after it, where b1 and b3 relax as exp(-t), are summed in:
     # with q = exp(-2 dt), 1 + q + ... + q^(tail-1) + q^tail/2
     x, tail = 2.0 * dt, grid.n - n
     last_weight = 1.0 + _geometric_sum(x, tail) - 0.5 * math.exp(-x * tail)
-    gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(last, last)
+    gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(end, end)
     gram *= dt
     require_finite(gram)
     return gram
@@ -362,8 +362,7 @@ def _iter_annotated(results, gts):
 
 
 def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
-                  policy: GridPolicy = DEFAULT_POLICY, rel_tol: float = 1e-3,
-                  n_probe: int = 13) -> PeakResult:
+                  policy: GridPolicy = DEFAULT_POLICY) -> PeakResult:
     """Locate the c12_sq maximum inside the bracket.
 
     A coarse log-spaced probe seeds a golden-section refinement on
@@ -378,10 +377,10 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
     def value(gt: float) -> float:
         return run_point(shape, gt, policy).c12_sq
 
-    probes = np.logspace(math.log10(lo), math.log10(hi), n_probe)
+    probes = np.logspace(math.log10(lo), math.log10(hi), _PEAK_PROBES)
     vals = [value(float(g)) for g in probes]
     k = int(np.argmax(vals))
-    if k == 0 or k == n_probe - 1:
+    if k == 0 or k == _PEAK_PROBES - 1:
         raise NoPeakError(
             f"c12_sq is maximal at the bracket edge gamma_t={probes[k]:g}; "
             "no interior peak to refine")
@@ -390,7 +389,7 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
     lc = lb - _GOLDEN * (lb - la)
     ld = la + _GOLDEN * (lb - la)
     fc, fd = value(math.exp(lc)), value(math.exp(ld))
-    while lb - la > math.log1p(rel_tol):
+    while lb - la > math.log1p(_PEAK_REL_TOL):
         if fc > fd:
             lb, ld, fd = ld, lc, fc
             lc = lb - _GOLDEN * (lb - la)

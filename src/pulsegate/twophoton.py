@@ -130,7 +130,7 @@ def compute_cr_sq(c11: complex, c12_sq: float) -> float:
     if cr_sq < -UNPHYSICAL_TOL:
         raise UnphysicalDecompositionError(
             f"cr_sq={cr_sq:.3e}: amplitudes exceed total probability 1")
-    return max(cr_sq, 0.0) if cr_sq < 0 else cr_sq
+    return max(cr_sq, 0.0)
 
 
 def extract_psi2(pair: OutputPair) -> ComplexSignal:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from pulsegate.bloch import FullBlochState, SystemParams, _decay_core, decay_block
+from pulsegate.bloch import FullBlochState, SystemParams, decay_block
 from pulsegate.errors import StepInstabilityError
 from pulsegate.pulses import _builtin_values, check_span, drive_window
 from pulsegate.signal import ComplexSignal, _dot, _geometric_sum, require_finite
@@ -157,11 +157,11 @@ def stepped_output_gram(spec, grid):
     for a in range(0, n, BLOCK_NODES):
         b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
         x1 = rt2 * b
-        u = (_decay_core(x1, 1.0, dt) if a == 0
+        u = (decay_block(x1, 1.0, dt) if a == 0
              else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
         x3 = -2.0 * rt2 * b
         x3 *= u * u
-        w = (_decay_core(x3, 1.0, dt) if a == 0
+        w = (decay_block(x3, 1.0, dt) if a == 0
              else decay_block(x3, 1.0, dt, x3_prev, w[-1]))
         x1_prev, x3_prev = x1[-1], x3[-1]
         b1 = u * -rt2

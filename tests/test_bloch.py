@@ -10,7 +10,7 @@ from pulsegate import (ComplexSignal, GridPolicy,
                        perturbative_extraction, sample_pulse,
                        second_order_excitation, solve_chain,
                        third_order_response)
-from pulsegate.bloch import _decay_core, decay_block
+from pulsegate.bloch import decay_block
 
 import _oracles as orc
 
@@ -131,8 +131,8 @@ class TestDecayingResponse:
         t = g.times()
         x = np.exp(-t**2) * np.exp(1.3j * t) + 0.2j * np.exp(-(t - 1.0)**2)
         got = decaying_response(ComplexSignal(g, x), rate).values
-        ref = (_decay_core(np.ascontiguousarray(x.real), rate, g.dt)
-               + 1j * _decay_core(np.ascontiguousarray(x.imag), rate, g.dt))
+        ref = (decay_block(np.ascontiguousarray(x.real), rate, g.dt)
+               + 1j * decay_block(np.ascontiguousarray(x.imag), rate, g.dt))
         assert np.max(np.abs(got - ref)) <= 1e-15
 
 

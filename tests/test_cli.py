@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import _oracles as orc
 from pulsegate import cli, errors
@@ -62,7 +63,7 @@ class TestRespond:
         assert data.shape[1] == 11
         # b_in column integrates to ~1 (stride-8 trapezoid)
         t, b = data[:, 0], data[:, 1]
-        assert np.trapezoid(b**2, t) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(b**2, t) == pytest.approx(1.0, abs=1e-3)
 
     def test_csv_summary_format(self, tmp_path):
         out = tmp_path / "r"
@@ -197,7 +198,7 @@ class TestModesCmd:
         assert np.max(np.abs(p1re[t < -0.01])) < 1e-4  # delayed linear mode
         # psi2 hugs the input side: its mass sits at t < 0
         p2 = data[:, 3]
-        assert np.trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * np.trapezoid(p2**2, t)
+        assert trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * trapezoid(p2**2, t)
 
 
 class TestWaveformFiles:

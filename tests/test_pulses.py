@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,30 @@ class TestGrids:
             PulseSpec.gaussian(0.0)
         with pytest.raises(ConfigError):
             PulseSpec.rectangular(-2.0)
+
+    @pytest.mark.parametrize("shape", ["rect", "rising-exp", "sym-exp", "gauss"])
+    def test_layouts_are_pinned(self, shape):
+        # (t_start, t_end, n) exactly as tests/data/grid_layouts.csv records
+        # them: 18 durations from 1e-3 to 1e4, among them 2 +- 1e-9 and
+        # 6 +- 1e-9, under the default policy, a coarse one without lead pad
+        # and a fine one with a short tail. A grid property (a jump
+        # mid-segment, the kink on a node) survives a node moved by an ulp;
+        # these do not.
+        checked = 0
+        with open(Path(__file__).parent / "data" / "grid_layouts.csv") as fh:
+            assert next(fh).rstrip("\n").split(",") == [
+                "shape", "gamma_t", "samples_per_unit", "lead_pad", "tail",
+                "t_start", "t_end", "n"]
+            for line in fh:
+                name, gt, spu, lead_pad, tail, t_start, t_end, n = line.rstrip("\n").split(",")
+                if name != shape:
+                    continue
+                policy = GridPolicy(int(spu), float(lead_pad), float(tail))
+                g = default_grid_for(PulseSpec(PulseShape(shape), float(gt)), policy)
+                assert (g.t_start, g.t_end, g.n) == (float(t_start), float(t_end), int(n)), \
+                    (gt, policy)
+                checked += 1
+        assert checked == 54
 
 
 def _full_pass_values(shape, T, t, dt):

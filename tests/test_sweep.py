@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 import pulsegate
 from pulsegate import bloch
@@ -239,13 +240,13 @@ class TestDriveWindow:
                                    amplitudes(ref), rtol=0, atol=1e-12)
 
     def test_custom_pulse_matches_full_grid(self):
-        # the amplitudes are numpy's trapezoid sums of the stored waveforms
+        # the amplitudes are scipy's trapezoid sums of the stored waveforms
         # over the whole grid
         sol = solve_spec(custom_spec())
         b1, b3 = sol.pair.linear.values, sol.pair.cubic.values
-        n1 = np.trapezoid(np.abs(b1) ** 2, dx=sol.grid.dt)
-        overlap = np.trapezoid(np.conj(b1) * b3, dx=sol.grid.dt) / math.sqrt(n1)
-        c12_sq = 2 * (np.trapezoid(np.abs(b3) ** 2, dx=sol.grid.dt) - abs(overlap) ** 2)
+        n1 = trapezoid(np.abs(b1) ** 2, dx=sol.grid.dt)
+        overlap = trapezoid(np.conj(b1) * b3, dx=sol.grid.dt) / math.sqrt(n1)
+        c12_sq = 2 * (trapezoid(np.abs(b3) ** 2, dx=sol.grid.dt) - abs(overlap) ** 2)
         dec = sol.decomposition
         assert abs(dec.overlap - overlap) <= 1e-13
         assert dec.c12_sq == pytest.approx(c12_sq, rel=0, abs=1e-13)
@@ -311,6 +312,29 @@ class TestStreamedSolve:
             monkeypatch.setattr(sweep_module, "BLOCK_NODES", block)
             np.testing.assert_allclose(row_fields(run_point(shape, 1.0)), row_fields(ref),
                                        rtol=0, atol=1e-13, err_msg=f"block of {block}")
+
+    @pytest.mark.parametrize("shape, gt", [("rect", 1000.0), ("rising-exp", 50.0),
+                                           ("rising-exp", 1000.0), ("sym-exp", 50.0),
+                                           ("sym-exp", 1000.0)])
+    def test_take_over_at_any_block_alignment(self, shape, gt, monkeypatch):
+        # at gamma_t = 1 no run is taken over; here each run is, from a block
+        # end that every block size puts somewhere else in the run
+        ref = run_point(shape, gt)
+        spec = PulseSpec(PulseShape(shape), gt)
+        n = drive_window(spec, default_grid_for(spec))
+        sampled = []
+
+        def counting(*args):
+            v = _builtin_values(*args)
+            sampled.append(len(v))
+            return v
+        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        for block in (1000, 4096, 5003, 16385):
+            monkeypatch.setattr(sweep_module, "BLOCK_NODES", block)
+            sampled.clear()
+            np.testing.assert_allclose(row_fields(run_point(shape, gt)), row_fields(ref),
+                                       rtol=0, atol=1e-13, err_msg=f"block of {block}")
+            assert sum(sampled) < n, f"block of {block}: no run taken over"
 
     def test_memory_stays_within_a_few_blocks(self):
         run_point("sym-exp", 1000.0)        # warm caches and lazy imports
@@ -396,8 +420,8 @@ class TestExponentialRuns:
         # exponential at T = 1, where u's squared transient does.
         dt = 3e-3
         b = np.exp(lam * dt * np.arange(4000))
-        u = bloch._decay_core(math.sqrt(2.0) * b, 1.0, dt)
-        w = bloch._decay_core(-2.0 * math.sqrt(2.0) * b * u * u, 1.0, dt)
+        u = bloch.decay_block(math.sqrt(2.0) * b, 1.0, dt)
+        w = bloch.decay_block(-2.0 * math.sqrt(2.0) * b * u * u, 1.0, dt)
         k0 = sweep_module._settling_nodes(lam, dt, b[0], u[0], w[0], 10**9)
         for j in range(100, 4000, 300):
             kj = sweep_module._settling_nodes(lam, dt, b[j], u[j], w[j], 10**9)
@@ -411,6 +435,8 @@ class TestExponentialRuns:
             assert sweep_module._settling_nodes(-2.0 / T, dt, 1.0, 0.5, -0.1, 10**9) is None
         # a lead-in whose driven w underflows gives nothing to measure against
         assert sweep_module._settling_nodes(1.0, dt, 1e-120, 0.0, 0.0, 10**9) is None
+        # a state that is no number gives no bound
+        assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, math.inf, 10**9) is None
         # a settling point past the run's end is no take-over
         assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, 0.0, 1000) is None
 
