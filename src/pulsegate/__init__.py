@@ -24,8 +24,6 @@ from .signal import ComplexSignal, TimeGrid, inner_product, make_grid, norm_sq
 from .sweep import (PeakResult, PointSolution, SweepRow, find_peak_c12,
                     mode_shapes_at, run_point, solve_point, solve_spec, sweep)
 from .twophoton import (LimitReport, ModeExpectations, OutputDecomposition,
-                        check_quantum_limit, coherent_expectations,
-                        compute_c11, compute_c12_sq, compute_cr_sq, decompose,
-                        extract_psi2, limit_report)
+                        amplitudes, coherent_expectations, decompose, limit_report)
 
 __version__ = "0.1.0"

@@ -193,21 +193,23 @@ def _json_text(record: dict) -> str:
 
 def cmd_respond(args) -> int:
     sol = _solution_from(args)
-    out = Path(args.out) if args.out else Path(f"respond_{args.shape}")
+    # the file names append to the prefix: Path.with_suffix would replace a
+    # dotted last part of it (run/gauss_0.5 -> run/gauss_0.signals.csv)
+    out = Path(args.out or f"respond_{args.shape}")
     cols = _waveform_columns(sol, (sol.b_in, sol.pair.linear, sol.pair.cubic,
                                    sol.decomposition.psi1, sol.decomposition.psi2),
                              max(1, args.stride))
     header = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
               "psi1_re,psi1_im,psi2_re,psi2_im")
-    _write_atomic(out.with_suffix(".signals.csv"), _csv(header, cols))
+    _write_atomic(Path(f"{out}.signals.csv"), _csv(header, cols))
     record = _summary_dict(sol)
     if args.format == "json":
-        _write_atomic(out.with_suffix(".summary.json"), [_json_text(record)])
+        text = _json_text(record)
     else:
         row = ",".join(str(v) if isinstance(v, (str, bool)) else _fmt(v)
                        for v in record.values())
-        _write_atomic(out.with_suffix(".summary.csv"),
-                      [",".join(record) + "\n" + row + "\n"])
+        text = ",".join(record) + "\n" + row + "\n"
+    _write_atomic(Path(f"{out}.summary.{args.format}"), [text])
     print(_json_text(record), end="")
     return 0
 

@@ -42,8 +42,7 @@ from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin
                      _exponential_runs, check_span, default_grid_for, drive_window,
                      sample_pulse)
 from .signal import ComplexSignal, TimeGrid, _dot, _geometric_sum, require_finite
-from .twophoton import (OutputDecomposition, LimitReport, c12_sq_from, compute_cr_sq,
-                        decompose, limit_report)
+from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, limit_report
 
 GAMMA_T_MIN = 1e-3
 GAMMA_T_MAX = 1e4
@@ -307,11 +306,9 @@ def run_point(shape: ShapeLike, gamma_t: float,
     gram = _output_gram(spec, default_grid_for(spec, policy))
     n1 = float(gram[0, 0])
     check_linear_norm(n1)
-    v = complex(gram[0, 1] / math.sqrt(n1))    # <psi1|b3>, psi1 = b1 / sqrt(n1)
-    c11 = 1 + v
-    c12_sq = c12_sq_from(float(gram[1, 1]), c11)
+    v, c11, c12_sq, cr_sq = amplitudes(n1, gram[0, 1], gram[1, 1])
     return SweepRow(gamma_t=spec.duration, c11_re=c11.real, c11_im=c11.imag,
-                    c11_sq=abs(c11) ** 2, c12_sq=c12_sq, cr_sq=compute_cr_sq(c11, c12_sq),
+                    c11_sq=abs(c11) ** 2, c12_sq=c12_sq, cr_sq=cr_sq,
                     overlap_re=v.real, overlap_im=v.imag)
 
 

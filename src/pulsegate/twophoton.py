@@ -13,12 +13,16 @@ psi2, and cr_sq = 1 - |c11|^2 - c12^2 the leftover weight in modes not
 visible in the averaged field. A physical third-order response keeps the
 overlap inside the unit circle centered at -1, with the real part pushed
 below -(1 - sqrt(1 - c12^2)) as soon as photon transfer occurs; both
-margins are checked by check_quantum_limit.
+margins are reported by limit_report.
 
-psi1 is b1 rescaled by its quadrature norm (unity within 1e-6, enforced
-upstream); using the rescaled mode in the projection makes orthogonality
-and the reconstruction of b3 exact at the discrete level instead of
-merely within the quadrature tolerance.
+All four numbers follow from three overlap integrals, ||b1||^2, <b1|b3>
+and ||b3||^2, which amplitudes turns into them: the streamed sweep
+feeds it its Gram matrix, and decompose the trapezoid sums of a stored
+output pair, from which it then forms psi1 and psi2. psi1 is b1 rescaled
+by its quadrature norm (unity within 1e-4, enforced upstream); using the
+rescaled mode in the projection makes orthogonality and the
+reconstruction of b3 exact at the discrete level instead of merely within
+the quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import UndefinedModeError, UnphysicalDecompositionError
+from .errors import UnphysicalDecompositionError
 from .output import OutputPair
 from .signal import ComplexSignal, inner_product, norm_sq
 
@@ -78,81 +80,46 @@ class LimitReport:
     reduction_ok: bool
 
 
-def _project(pair: OutputPair) -> tuple[ComplexSignal, complex]:
-    """The linear output mode psi1 = b1 / ||b1|| and the overlap <psi1|b3>."""
-    b1 = pair.linear
-    psi1 = ComplexSignal(b1.grid, b1.values / math.sqrt(norm_sq(b1)))
-    return psi1, inner_product(psi1, pair.cubic)
+def amplitudes(n1: float, b1_b3: complex,
+               b3_sq: float) -> tuple[complex, complex, float, float]:
+    """(overlap, c11, c12_sq, cr_sq) from the three overlap integrals
+    n1 = ||b1||^2, b1_b3 = <b1|b3> and b3_sq = ||b3||^2.
 
-
-def _remainder(pair: OutputPair, psi1: ComplexSignal,
-               overlap: complex) -> tuple[Optional[ComplexSignal], float]:
-    """b3's remainder after projecting out psi1, as its unit mode psi2 and
-    its norm rho; psi2 is None when rho is too small to give a direction."""
-    residual = pair.cubic.values - overlap * psi1.values
-    rho = math.sqrt(max(norm_sq(ComplexSignal(psi1.grid, residual)), 0.0))
-    psi2 = ComplexSignal(psi1.grid, residual / rho) if rho > MODE_NORM_FLOOR else None
-    return psi2, rho
-
-
-def compute_c11(pair: OutputPair) -> complex:
-    """Both-photons-stay amplitude c11 = 1 + <psi1|b3>."""
-    return 1 + _project(pair)[1]
-
-
-def compute_c12_sq(pair: OutputPair, c11: complex) -> float:
-    """Photon-transfer probability c12^2 = 2 (|b3|^2 integral - |c11 - 1|^2)."""
-    return c12_sq_from(norm_sq(pair.cubic), c11)
-
-
-def c12_sq_from(b3_norm_sq: float, c11: complex) -> float:
-    """c12^2 = 2 (||b3||^2 - |c11 - 1|^2) from the cubic output's norm.
-
-    Tiny negative results (rounding) clamp to zero; a genuinely negative
-    value or c11_sq + c12_sq > 1 marks inconsistent inputs.
+    With psi1 = b1 / sqrt(n1): overlap = <psi1|b3>, c11 = 1 + overlap,
+    c12_sq = 2 (||b3||^2 - |c11 - 1|^2) and cr_sq = 1 - |c11|^2 - c12_sq.
+    Tiny negative c12_sq or cr_sq (rounding) clamp to zero. A c12_sq below
+    -CLAMP_NEGATIVE, or a cr_sq below -UNPHYSICAL_TOL (c11_sq + c12_sq over
+    1), marks inconsistent inputs and raises UnphysicalDecompositionError.
     """
-    v_sq = abs(c11 - 1) ** 2
-    c12_sq = 2 * (b3_norm_sq - v_sq)
+    v = complex(b1_b3 / math.sqrt(n1))
+    c11 = 1 + v
+    c12_sq = 2 * (float(b3_sq) - abs(c11 - 1) ** 2)
     if c12_sq < 0:
         if c12_sq < -CLAMP_NEGATIVE:
             raise UnphysicalDecompositionError(
                 f"c12_sq={c12_sq:.3e} is negative beyond rounding")
         c12_sq = 0.0
-    if abs(c11) ** 2 + c12_sq > 1 + UNPHYSICAL_TOL:
-        raise UnphysicalDecompositionError(
-            f"c11_sq + c12_sq = {abs(c11)**2 + c12_sq:.6f} exceeds 1")
-    return c12_sq
-
-
-def compute_cr_sq(c11: complex, c12_sq: float) -> float:
-    """Residual probability 1 - |c11|^2 - c12^2, clamping rounding noise."""
     cr_sq = 1 - abs(c11) ** 2 - c12_sq
     if cr_sq < -UNPHYSICAL_TOL:
         raise UnphysicalDecompositionError(
-            f"cr_sq={cr_sq:.3e}: amplitudes exceed total probability 1")
-    return max(cr_sq, 0.0)
-
-
-def extract_psi2(pair: OutputPair) -> ComplexSignal:
-    """Unit-norm mode orthogonal to psi1: the direction of b3's remainder
-    after projecting out psi1. Its global phase is fixed by making the
-    psi2 coefficient of b3 real positive, which is what the projection
-    residual delivers directly."""
-    psi2, rho = _remainder(pair, *_project(pair))
-    if psi2 is None:
-        raise UndefinedModeError(
-            f"orthogonal component norm {rho:.2e} below {MODE_NORM_FLOOR:g}; "
-            "the output is effectively single mode here")
-    return psi2
+            f"c11_sq + c12_sq = {abs(c11)**2 + c12_sq:.6f} exceeds 1")
+    return v, c11, c12_sq, max(cr_sq, 0.0)
 
 
 def decompose(pair: OutputPair) -> OutputDecomposition:
-    """Full decomposition in one pass (shared normalization and overlap)."""
-    psi1, v = _project(pair)
-    c11 = 1 + v
-    c12_sq = compute_c12_sq(pair, c11)
-    cr_sq = compute_cr_sq(c11, c12_sq)
-    psi2, _ = _remainder(pair, psi1, v)
+    """Amplitudes and modes of the pair, from its three trapezoid sums.
+
+    psi2 is b3's remainder after projecting out psi1, normalized by its own
+    trapezoid norm, so the psi2 coefficient of b3 is real positive; psi2 is
+    None when that norm is too small to give a direction.
+    """
+    b1, b3 = pair.linear, pair.cubic
+    n1 = norm_sq(b1)
+    v, c11, c12_sq, cr_sq = amplitudes(n1, inner_product(b1, b3), norm_sq(b3))
+    psi1 = ComplexSignal(b1.grid, b1.values / math.sqrt(n1))
+    residual = ComplexSignal(b1.grid, b3.values - v * psi1.values)
+    rho = math.sqrt(norm_sq(residual))
+    psi2 = ComplexSignal(b1.grid, residual.values / rho) if rho > MODE_NORM_FLOOR else None
     return OutputDecomposition(psi1=psi1, psi2=psi2, c11=c11,
                                c12=math.sqrt(c12_sq), cr_sq=cr_sq, overlap=v)
 
@@ -177,11 +144,3 @@ def limit_report(overlap: complex, c12_sq: float) -> LimitReport:
                        circle_ok=circle_margin >= -LIMIT_TOL,
                        reduction_ok=reduction_margin >= -LIMIT_TOL)
 
-
-def check_quantum_limit(pair: OutputPair, c12_sq: float) -> LimitReport:
-    """Evaluate both quantum-limit inequalities for this output pair.
-
-    Violations are reported, not raised: they indicate solver defects, and
-    the margins are the useful diagnostic.
-    """
-    return limit_report(_project(pair)[1], c12_sq)

@@ -73,6 +73,22 @@ class TestRespond:
         assert header.split(",")[:3] == ["shape", "gamma_t", "c11_re"]
         assert row.split(",")[0] == "gauss"
 
+    def test_dotted_prefixes_keep_their_own_files(self, tmp_path):
+        # the names append to the prefix: gauss_0.799 and gauss_0.5 must not
+        # both become gauss_0.signals.csv and overwrite one another
+        for gt in ("0.799", "0.5"):
+            assert run("respond", "--shape", "gauss", "--gamma-t", gt, "--stride", "64",
+                       "--out", tmp_path / f"gauss_{gt}", *FAST) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "gauss_0.5.signals.csv", "gauss_0.5.summary.json",
+            "gauss_0.799.signals.csv", "gauss_0.799.summary.json"]
+        for gt in ("0.799", "0.5"):
+            record = json.loads((tmp_path / f"gauss_{gt}.summary.json").read_text())
+            assert float(record["gamma_t"]) == float(gt)
+        run("respond", "--shape", "gauss", "--gamma-t", "0.5", "--stride", "64",
+            "--out", tmp_path / "gauss_0.5", "--format", "csv", *FAST)
+        assert (tmp_path / "gauss_0.5.summary.csv").is_file()
+
     def test_out_of_range_duration_exits_2(self):
         assert run("respond", "--shape", "gauss", "--gamma-t", "1e-9") == 2
 

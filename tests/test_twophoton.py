@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import (ComplexSignal, OutputPair, PulseSpec,
-                       UndefinedModeError, UnphysicalDecompositionError,
-                       check_quantum_limit, coherent_expectations, compute_c11,
-                       compute_c12_sq, compute_cr_sq, decompose,
-                       default_grid_for, extract_psi2, inner_product,
-                       make_grid, norm_sq, sample_pulse, solve_chain,
-                       solve_point, assemble_outputs)
+from pulsegate import (ComplexSignal, OutputPair, UnphysicalDecompositionError,
+                       amplitudes, coherent_expectations, decompose,
+                       inner_product, limit_report, make_grid, norm_sq,
+                       solve_point)
 
 import _oracles as orc
 
@@ -51,13 +48,13 @@ def rising_solution():
 class TestC11:
     def test_zero_cubic(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, 0.0, 0.0)
-        assert compute_c11(pair) == pytest.approx(1.0, abs=1e-12)
+        dec = decompose(pair_with(f, g, 0.0, 0.0))
+        assert dec.c11 == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_phase_flip(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, -2.0, 0.0)  # b3 = -2 b1
-        assert compute_c11(pair) == pytest.approx(-1.0, abs=1e-10)
+        dec = decompose(pair_with(f, g, -2.0, 0.0))  # b3 = -2 b1
+        assert dec.c11 == pytest.approx(-1.0, abs=1e-10)
 
     def test_gaussian_flip_region(self):
         # near the gaussian phase-flip optimum the both-stay probability
@@ -71,9 +68,9 @@ class TestC11:
 class TestC12Sq:
     def test_parallel_cubic_gives_zero(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, -0.4, 0.0)
-        c11 = compute_c11(pair)
-        assert compute_c12_sq(pair, c11) == pytest.approx(0.0, abs=1e-12)
+        dec = decompose(pair_with(f, g, -0.4, 0.0))
+        assert dec.c12_sq == pytest.approx(0.0, abs=1e-12)
+        assert dec.psi2 is None
 
     def test_rising_exponential_peak_value(self, rising_solution):
         assert rising_solution.decomposition.c12_sq == pytest.approx(2 / 3, abs=1e-4)
@@ -81,52 +78,71 @@ class TestC12Sq:
     def test_unphysical_combination_raises(self, base_modes):
         # orthogonal cubic with intensity 1/2: c12_sq = 1 while c11 = 1
         f, g = base_modes
-        pair = pair_with(f, g, 0.0, math.sqrt(0.5))
-        c11 = compute_c11(pair)
         with pytest.raises(UnphysicalDecompositionError):
-            compute_c12_sq(pair, c11)
+            decompose(pair_with(f, g, 0.0, math.sqrt(0.5)))
 
     def test_tiny_negative_clamps_to_zero(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, 1e-9, 0.0)
-        c11 = compute_c11(pair)
-        assert compute_c12_sq(pair, c11) == 0.0
+        assert decompose(pair_with(f, g, 1e-9, 0.0)).c12_sq == 0.0
+        # ||b3||^2 short of |overlap|^2 by rounding: c12_sq = -2e-12 before clamping
+        assert amplitudes(1.0, -0.5, 0.25 - 1e-12)[2] == 0.0
+
+    def test_negative_beyond_rounding_raises(self):
+        with pytest.raises(UnphysicalDecompositionError):
+            amplitudes(1.0, -0.5, 0.25 - 1e-9)
 
 
 class TestCrSq:
+    # amplitudes(||b1||^2, <b1|b3>, ||b3||^2) -> (overlap, c11, c12_sq, cr_sq)
     def test_linear_regime(self):
-        assert compute_cr_sq(1.0 + 0j, 0.0) == 0.0
+        assert amplitudes(1.0, 0.0, 0.0) == (0j, 1 + 0j, 0.0, 0.0)
 
     def test_ideal_flip(self):
-        assert compute_cr_sq(-1.0 + 0j, 0.0) == 0.0
+        # b3 = -2 b1: c11 = -1, c12_sq = 0
+        assert amplitudes(1.0, -2.0, 4.0)[3] == 0.0
 
     def test_transfer_peak_budget(self):
-        assert compute_cr_sq(0.0 + 0j, 2 / 3) == pytest.approx(1 / 3, rel=1e-12)
+        # c11 = 0 and c12_sq = 2/3: overlap -1, ||b3||^2 = 1 + 1/3
+        _, c11, c12_sq, cr_sq = amplitudes(1.0, -1.0, 4 / 3)
+        assert c11 == 0
+        assert c12_sq == pytest.approx(2 / 3, rel=1e-12)
+        assert cr_sq == pytest.approx(1 / 3, rel=1e-12)
 
     def test_probability_overdraft_raises(self):
+        # c11 = 1 with c12_sq = 1
         with pytest.raises(UnphysicalDecompositionError):
-            compute_cr_sq(1.0 + 0j, 1.0)
+            amplitudes(1.0, 0.0, 0.5)
 
     def test_rounding_noise_clamped(self):
-        assert compute_cr_sq(1.0 + 0j, 1e-9) == 0.0
+        # c11 = 1 with c12_sq = 1e-9: cr_sq = -1e-9 before clamping
+        _, _, c12_sq, cr_sq = amplitudes(1.0, 0.0, 5e-10)
+        assert c12_sq == pytest.approx(1e-9, rel=1e-12)
+        assert cr_sq == 0.0
+
+    def test_overlap_normalized_by_the_linear_norm(self):
+        # <psi1|b3> = <b1|b3> / ||b1|| for a complex overlap
+        v, c11, c12_sq, _ = amplitudes(4.0, -1.0 + 0.4j, 0.5)
+        assert v == pytest.approx(-0.5 + 0.2j, abs=1e-15)
+        assert c11 == 1 + v
+        assert c12_sq == pytest.approx(2 * (0.5 - 0.29), rel=1e-12)
 
 
 class TestExtractPsi2:
+    # psi2 as decompose forms it from b3's remainder after projecting out psi1
     def test_parallel_cubic_has_no_mode(self, base_modes):
         f, g = base_modes
-        with pytest.raises(UndefinedModeError):
-            extract_psi2(pair_with(f, g, 0.7, 0.0))
+        assert decompose(pair_with(f, g, -0.7, 0.0)).psi2 is None
 
     def test_gram_schmidt_direction(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, 1.0, 0.3)  # b3 = b1 + 0.3 g
-        psi2 = extract_psi2(pair)
-        np.testing.assert_allclose(psi2.values, g.values, atol=1e-9)
+        dec = decompose(pair_with(f, g, -1.0, 0.3))  # b3 = -b1 + 0.3 g
+        np.testing.assert_allclose(dec.psi2.values, g.values, atol=1e-9)
+        assert dec.c12 == pytest.approx(0.3 * math.sqrt(2.0), abs=1e-9)
 
     def test_coefficient_made_real_positive(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, 0.2j, -0.25j)  # complex transfer coefficient
-        psi2 = extract_psi2(pair)
+        pair = pair_with(f, g, -0.5 + 0.2j, -0.25j)  # complex transfer coefficient
+        psi2 = decompose(pair).psi2
         coeff = inner_product(psi2, pair.cubic)
         assert coeff.imag == pytest.approx(0.0, abs=1e-12)
         assert coeff.real > 0
@@ -175,16 +191,17 @@ class TestDecompose:
         assert d.cr_sq == pytest.approx(1 / 3, abs=1e-6)
 
 
-class TestSharedProjection:
+class TestSharedAmplitudes:
     # the measured photon-transfer peaks of README's table
     @pytest.mark.parametrize("shape,gt", [("rect", 1.557), ("rising-exp", 1.0),
                                           ("sym-exp", 0.789), ("gauss", 0.799)])
-    def test_views_equal_decompose_bitwise(self, shape, gt):
-        pair = solve_point(shape, gt).pair
-        dec = decompose(pair)
-        assert compute_c11(pair) == dec.c11
-        assert check_quantum_limit(pair, dec.c12_sq).overlap == dec.overlap
-        np.testing.assert_array_equal(extract_psi2(pair).values, dec.psi2.values)
+    def test_decompose_equals_amplitudes_bitwise(self, shape, gt):
+        sol = solve_point(shape, gt)
+        b1, b3 = sol.pair.linear, sol.pair.cubic
+        v, c11, c12_sq, cr_sq = amplitudes(norm_sq(b1), inner_product(b1, b3), norm_sq(b3))
+        dec = sol.decomposition
+        assert (dec.overlap, dec.c11, dec.c12, dec.cr_sq) == (v, c11, math.sqrt(c12_sq), cr_sq)
+        assert sol.limit == limit_report(v, dec.c12_sq)
 
 
 class TestCoherentExpectations:
@@ -213,8 +230,8 @@ class TestCoherentExpectations:
 class TestQuantumLimit:
     def test_linear_regime_sits_on_circle(self, base_modes):
         f, g = base_modes
-        pair = pair_with(f, g, 0.0, 0.0)
-        rep = check_quantum_limit(pair, 0.0)
+        dec = decompose(pair_with(f, g, 0.0, 0.0))
+        rep = limit_report(dec.overlap, dec.c12_sq)
         assert rep.circle_margin == pytest.approx(0.0, abs=1e-12)
         assert rep.reduction_margin == pytest.approx(0.0, abs=1e-12)
         assert rep.circle_ok and rep.reduction_ok
@@ -222,20 +239,18 @@ class TestQuantumLimit:
     def test_full_transfer_needs_full_overlap(self, base_modes):
         # c12 = 1 forces overlap -1: b3 = -b1 + g/sqrt2, |b3|^2 = 3/2
         f, g = base_modes
-        pair = pair_with(f, g, -1.0, math.sqrt(0.5))
-        c11 = compute_c11(pair)
-        assert c11 == pytest.approx(0.0, abs=1e-10)
-        c12_sq = compute_c12_sq(pair, c11)
-        assert c12_sq == pytest.approx(1.0, abs=1e-9)
-        rep = check_quantum_limit(pair, c12_sq)
+        dec = decompose(pair_with(f, g, -1.0, math.sqrt(0.5)))
+        assert dec.c11 == pytest.approx(0.0, abs=1e-10)
+        assert dec.c12_sq == pytest.approx(1.0, abs=1e-9)
+        rep = limit_report(dec.overlap, dec.c12_sq)
         assert rep.overlap.real == pytest.approx(-1.0, abs=1e-9)
         assert rep.reduction_margin == pytest.approx(0.0, abs=1e-4)
         assert rep.circle_ok and rep.reduction_ok
 
-    def test_violating_pair_flagged_not_raised(self, base_modes):
-        f, g = base_modes
-        pair = pair_with(f, g, 0.5, 0.0)  # overlap +0.5: outside the circle
-        rep = check_quantum_limit(pair, 0.0)
+    def test_violating_pair_flagged_not_raised(self):
+        # overlap +0.5: outside the circle (decompose would refuse the pair,
+        # whose |c11|^2 = 2.25 exceeds 1)
+        rep = limit_report(0.5 + 0j, 0.0)
         assert not rep.circle_ok
         assert not rep.reduction_ok
 
