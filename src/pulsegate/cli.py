@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoPeakError, PulseGateError, SolverError
+from .errors import ConfigError, NoPeakError, PulseGateError
 from .pulses import DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec
 from .sweep import (DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_RANGE, PointSolution,
                     find_peak_c12, solve_spec, solve_point, sweep)
@@ -242,12 +242,9 @@ def cmd_peak(args) -> int:
 
 def cmd_modes(args) -> int:
     sol = _solution_from(args)
-    dec = sol.decomposition
-    if dec.psi2 is None:
-        raise SolverError(f"photon transfer negligible at gamma_t={sol.gamma_t:g}; "
-                          "no orthogonal mode to export")
+    modes = sol.modes()
     out = Path(args.out) if args.out else Path(f"modes_{args.shape}.csv")
-    cols = _waveform_columns(sol, (dec.psi1, dec.psi2), max(1, args.stride))
+    cols = _waveform_columns(sol, modes, max(1, args.stride))
     _write_atomic(out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im", cols))
     print(f"wrote {len(cols[0])} rows to {out}")
     return 0

@@ -17,9 +17,11 @@ exponential, either side of the symmetric exponential's kink), the outputs
 become exponentials once the chain's transients have decayed, and the rest
 of the run is a geometric sum: a long pulse costs a few blocks, not one
 step per node. Past the window every waveform is in free decay, whose
-trapezoid sum to the grid end is added the same way. solve_spec runs the
-array pipeline on every node of the grid and stores every waveform; it
-refuses grids above WAVEFORM_NODE_BUDGET nodes.
+trapezoid sum to the grid end is added the same way. The third route, for
+the gaussian from gamma_t = _GAUSS_ADIABATIC_GT on, builds no grid: its
+outputs are adiabatic series with exact overlap integrals (_adiabatic_gram).
+solve_spec runs the array pipeline on every node of the grid and stores
+every waveform; it refuses grids above WAVEFORM_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ WAVEFORM_NODE_BUDGET = 2**24
 _SETTLED = 2.0**-53
 # the largest argument math.exp takes without overflow
 _EXP_MAX = math.log(sys.float_info.max)
+# run_point solves a gaussian this long or longer by _adiabatic_gram, whose
+# series then sum to 2**-53 within _SERIES_TERMS terms
+_GAUSS_ADIABATIC_GT = 100.0
+_SERIES_TERMS = 16
 
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
@@ -105,6 +111,15 @@ class PointSolution:
     pair: OutputPair
     decomposition: OutputDecomposition
     limit: LimitReport
+
+    def modes(self) -> tuple[ComplexSignal, ComplexSignal]:
+        """(psi1, psi2), or UndefinedModeError where psi2 has no direction."""
+        dec = self.decomposition
+        if dec.psi2 is None:
+            raise UndefinedModeError(
+                f"photon transfer is negligible at gamma_t={self.gamma_t:g}; "
+                "the orthogonal mode has no defined shape")
+        return dec.psi1, dec.psi2
 
 
 def _as_shape(shape: ShapeLike) -> PulseShape:
@@ -215,6 +230,56 @@ def _run_sums(lam: float, dt: float, k: int, b1: float, b3: float) -> np.ndarray
     return np.array(((b1 * b1 * weight(2.0), d13), (d13, b3 * b3 * weight(6.0))))
 
 
+def _gauss_moment(p: np.ndarray, c: float) -> float:
+    """Integral over the real line of p(s) exp(-c s^2), p by ascending
+    coefficients: sum over even j of p_j G((j+1)/2) / c^((j+1)/2)."""
+    even = p[::2]
+    ratios = np.arange(1.0, 2.0 * len(even) - 1.0, 2.0) / (2.0 * c)
+    return float(even @ np.cumprod(np.r_[math.sqrt(math.pi / c), ratios]))
+
+
+def _adiabatic_series(p: np.ndarray, a: float, T: float) -> np.ndarray:
+    """The response y of y' = -y + x, t = T s, to the slow drive
+    x = p(s) exp(-a s^2): sum over k of (-1/T)^k d^k x / ds^k, returned as the
+    polynomial factor of exp(-a s^2). Terms are added until the next one is
+    at most 2**-53 of the sum in L2 norm."""
+    total = term = p
+    for _ in range(_SERIES_TERMS):
+        # d/ds [q exp(-a s^2)] = (q' - 2 a s q) exp(-a s^2)
+        term = (np.r_[term[1:] * np.arange(1, len(term)), 0.0, 0.0]
+                - 2.0 * a * np.r_[0.0, term]) / -T
+        if (_gauss_moment(np.convolve(term, term), 2.0 * a)
+                <= _SETTLED**2 * _gauss_moment(np.convolve(total, total), 2.0 * a)):
+            return total
+        total = np.append(total, 0.0) + term
+    raise SolverError(f"the adiabatic series at gamma_t={T:g} has not settled "
+                      f"within {_SERIES_TERMS} terms")
+
+
+def _adiabatic_gram(T: float) -> np.ndarray:
+    """The Gram matrix of _output_gram for the gaussian pulse of duration T,
+    as the continuum value every grid converges to, with no grid built.
+
+    In s = t/T every function is a polynomial times a gaussian: the pulse b
+    and u = sqrt(2) sum_k (-1/T)^k d^k b / ds^k (so b1 = b - sqrt(2) u) go
+    as exp(-2 s^2), the drive x3 = -2 sqrt(2) b u^2 and its response w
+    (so b3 = -sqrt(2) w) as exp(-6 s^2). The Gram entries are then moments
+    of exp(-4 s^2), exp(-8 s^2) and exp(-12 s^2), times T = dt/ds.
+    """
+    rt2 = math.sqrt(2.0)
+    amp = math.sqrt(2.0 / (math.sqrt(math.pi) * T))    # pulses._builtin_values' gaussian
+    u = _adiabatic_series(np.array([rt2 * amp]), 2.0, T)
+    w = _adiabatic_series(-2.0 * rt2 * amp * np.convolve(u, u), 6.0, T)
+    b1 = u * -rt2
+    b1[0] += amp
+    b3 = w * -rt2
+    d13 = _gauss_moment(np.convolve(b1, b3), 8.0)
+    gram = T * np.array(((_gauss_moment(np.convolve(b1, b1), 4.0), d13),
+                         (d13, _gauss_moment(np.convolve(b3, b3), 12.0))))
+    require_finite(gram)
+    return gram
+
+
 def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     """Trapezoid Gram matrix of the outputs of a built-in pulse on `grid`,
     [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]].
@@ -301,9 +366,16 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
 def run_point(shape: ShapeLike, gamma_t: float,
               policy: GridPolicy = DEFAULT_POLICY) -> SweepRow:
     """One sweep row: the amplitudes only, streamed through blocks of the
-    drive window, so memory stays bounded over the whole gamma_t range."""
+    drive window, so memory stays bounded over the whole gamma_t range.
+
+    A gaussian at gamma_t >= _GAUSS_ADIABATIC_GT takes the adiabatic series
+    (_adiabatic_gram) and builds no grid, so that point does not depend on
+    the grid policy: it is the continuum value every policy converges to."""
     spec = _builtin_spec(_as_shape(shape), gamma_t)
-    gram = _output_gram(spec, default_grid_for(spec, policy))
+    if spec.shape is PulseShape.GAUSSIAN and spec.duration >= _GAUSS_ADIABATIC_GT:
+        gram = _adiabatic_gram(spec.duration)
+    else:
+        gram = _output_gram(spec, default_grid_for(spec, policy))
     n1 = float(gram[0, 0])
     check_linear_norm(n1)
     v, c11, c12_sq, cr_sq = amplitudes(n1, gram[0, 1], gram[1, 1])
@@ -405,10 +477,4 @@ def mode_shapes_at(shape: ShapeLike, gamma_t: float,
                    policy: GridPolicy = DEFAULT_POLICY,
                    ) -> tuple[ComplexSignal, ComplexSignal]:
     """The two orthonormal output mode waveforms at one duration."""
-    sol = solve_point(shape, gamma_t, policy)
-    dec = sol.decomposition
-    if dec.psi2 is None:
-        raise UndefinedModeError(
-            f"photon transfer is negligible at gamma_t={gamma_t:g}; "
-            "the orthogonal mode has no defined shape")
-    return dec.psi1, dec.psi2
+    return solve_point(shape, gamma_t, policy).modes()

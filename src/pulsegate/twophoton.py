@@ -13,7 +13,9 @@ psi2, and cr_sq = 1 - |c11|^2 - c12^2 the leftover weight in modes not
 visible in the averaged field. A physical third-order response keeps the
 overlap inside the unit circle centered at -1, with the real part pushed
 below -(1 - sqrt(1 - c12^2)) as soon as photon transfer occurs; both
-margins are reported by limit_report.
+margins are reported by limit_report, though a solved point can report a
+circle violation only from about -5e-5 to -LIMIT_TOL: amplitudes raises on
+a larger one.
 
 All four numbers follow from three overlap integrals, ||b1||^2, <b1|b3>
 and ||b3||^2, which amplitudes turns into them: the streamed sweep
@@ -134,7 +136,11 @@ def coherent_expectations(alpha: complex, c11: complex, c12: float) -> ModeExpec
 
 
 def limit_report(overlap: complex, c12_sq: float) -> LimitReport:
-    """Margins of the quantum-limit inequalities for a known overlap."""
+    """Margins of the quantum-limit inequalities for a known overlap.
+
+    On a solved point circle_ok is False only for -5e-5 <~ circle_margin <
+    -LIMIT_TOL: circle_margin = 1 - |c11|, and amplitudes raises once
+    |c11|^2 + c12^2 > 1 + UNPHYSICAL_TOL."""
     v = complex(overlap)
     circle_margin = 1 - abs(v + 1)
     reduction_margin = -(1 - math.sqrt(max(1 - c12_sq, 0.0))) - v.real

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import json
@@ -215,6 +216,22 @@ class TestModesCmd:
         # psi2 hugs the input side: its mass sits at t < 0
         p2 = data[:, 3]
         assert trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * trapezoid(p2**2, t)
+
+    def test_undefined_mode_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the command and mode_shapes_at raise the same UndefinedModeError
+        sweep_module = importlib.import_module("pulsegate.sweep")
+        decompose = sweep_module.decompose
+        monkeypatch.setattr(sweep_module, "decompose",
+                            lambda pair: dataclasses.replace(decompose(pair), psi2=None))
+        message = ("photon transfer is negligible at gamma_t=1; "
+                   "the orthogonal mode has no defined shape")
+        out = tmp_path / "m.csv"
+        assert run("modes", "--shape", "gauss", "--gamma-t", "1", "--out", out, *FAST) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(errors.UndefinedModeError) as exc:
+            sweep_module.mode_shapes_at("gauss", 1.0, GridPolicy(samples_per_unit=400))
+        assert str(exc.value) == message
 
 
 class TestWaveformFiles:

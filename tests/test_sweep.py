@@ -1,9 +1,11 @@
+import functools
 import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import erfcx
 
 import pulsegate
-from pulsegate import bloch
+from pulsegate import bloch, twophoton
 from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
-                       NoPeakError, NormViolationError, PulseShape, PulseSpec,
+                       NoPeakError, NormViolationError, PulseShape, PulseSpec, SolverError,
                        default_grid_for, drive_window, find_peak_c12,
                        inner_product, mode_shapes_at, norm_sq, run_point,
                        sample_pulse, solve_point, solve_spec, sweep)
@@ -207,6 +210,33 @@ def amplitudes(d):
             d.overlap.real, d.overlap.imag)
 
 
+def judged(row):
+    return np.array([row.overlap_re, row.c12_sq, row.cr_sq])
+
+
+def gram_judged(gram):
+    """overlap, c12_sq and cr_sq of a Gram matrix, as run_point forms them."""
+    v, _, c12_sq, cr_sq = twophoton.amplitudes(float(gram[0, 0]), gram[0, 1], gram[1, 1])
+    return np.array([v.real, c12_sq, cr_sq])
+
+
+@functools.lru_cache(maxsize=None)
+def richardson_gauss(gt):
+    """The gaussian's Richardson value (4 G_2000 - G_1000) / 3 from the Grams
+    stepped at 1000 and 2000 samples per unit, its error fourth order."""
+    spec = PulseSpec.gaussian(gt)
+    g1, g2 = (orc.stepped_output_gram(spec, default_grid_for(spec, GridPolicy(samples_per_unit=n)))
+              for n in (1000, 2000))
+    return gram_judged((4.0 * g2 - g1) / 3.0)
+
+
+def stepped_gauss(gt):
+    """The gaussian stepped on the default grid, the path run_point takes
+    below _GAUSS_ADIABATIC_GT."""
+    spec = PulseSpec.gaussian(gt)
+    return gram_judged(sweep_module._output_gram(spec, default_grid_for(spec)))
+
+
 def custom_spec():
     t = np.linspace(-2.0, 1.0, 301)
     return PulseSpec.custom(t, np.exp(-t**2) * np.exp(0.3j * t))
@@ -234,8 +264,13 @@ class TestDriveWindow:
     @pytest.mark.parametrize("shape", BUILTIN)
     def test_run_point_matches_full_grid(self, shape, gt):
         row = run_point(shape, gt)
-        ref = solve_point(shape, gt).decomposition
         assert row.gamma_t == gt
+        if shape == "gauss" and gt >= sweep_module._GAUSS_ADIABATIC_GT:
+            # the adiabatic route gives the continuum value, which the full
+            # grid misses by its own 1.9e-12 here
+            np.testing.assert_allclose(judged(row), richardson_gauss(gt), rtol=0, atol=1e-13)
+            return
+        ref = solve_point(shape, gt).decomposition
         np.testing.assert_allclose([getattr(row, f) for f in ROW_FIELDS],
                                    amplitudes(ref), rtol=0, atol=1e-12)
 
@@ -441,11 +476,103 @@ class TestExponentialRuns:
         assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, 0.0, 1000) is None
 
 
+class TestOverlapIdentity:
+    """For a real pulse on resonance, overlap = <psi1|b3> = -2 int u^4 dt,
+    with u = (b_in - b1) / sqrt(2) the dipole's response: d(u^4)/dt =
+    4 u^3 (-u + sqrt(2) b) turns the s3 chain's overlap into an integral of
+    u alone. The check shares no code with that chain."""
+
+    # the largest difference on the default grid is 4.9e-7 (rising-exp at
+    # 1.557), the grid's own second-order error in either side
+    @pytest.mark.parametrize("gt", [0.01, 0.3, 1.557, 30.0])
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_overlap_is_minus_two_integral_u4(self, shape, gt):
+        sol = solve_point(shape, gt)
+        u = (sol.b_in.values - sol.pair.linear.values) / math.sqrt(2.0)
+        want = -2.0 * trapezoid(np.abs(u) ** 4, dx=sol.grid.dt)
+        assert abs(sol.decomposition.overlap - want) <= 5e-7
+
+
+class TestAdiabaticGauss:
+    """From gamma_t = _GAUSS_ADIABATIC_GT on, run_point solves the gaussian
+    by the adiabatic series (`sweep._adiabatic_gram`), with no grid."""
+
+    @pytest.mark.parametrize("gt", [100.0, 300.0, 1000.0])
+    def test_matches_the_richardson_value(self, gt):
+        want = richardson_gauss(gt)
+        err = np.abs(judged(run_point("gauss", gt)) - want)
+        assert err.max() <= 1e-13
+        assert np.all(err <= np.abs(stepped_gauss(gt) - want))
+
+    def test_matches_stepping_at_the_range_end(self):
+        # 20M nodes, whose second-order error is below 1e-16 here
+        np.testing.assert_allclose(judged(run_point("gauss", 1e4)), stepped_gauss(1e4),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gt", [100.0, 1e3, 1e4])
+    def test_overlap_is_minus_two_integral_u4(self, gt):
+        # the continuum twin of TestOverlapIdentity: int u^4 dt from the same
+        # u series, by Gauss-Hermite quadrature in x = sqrt(8) s, exact for
+        # polynomials below degree 2 * 64
+        rt2 = math.sqrt(2.0)
+        amp = math.sqrt(2.0 / (math.sqrt(math.pi) * gt))
+        u = sweep_module._adiabatic_series(np.array([rt2 * amp]), 2.0, gt)
+        x, weights = np.polynomial.hermite.hermgauss(64)
+        s = x / math.sqrt(8.0)
+        u4_dt = gt * (weights @ np.polynomial.polynomial.polyval(s, u) ** 4) / math.sqrt(8.0)
+        assert run_point("gauss", gt).overlap_re == pytest.approx(-2.0 * u4_dt, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("gt", [100.0, 1e3, 1e4])
+    def test_u_is_the_causal_response(self, gt):
+        # the Gram entries cannot tell u from its mirror image u(-t), the
+        # anti-causal response; the closed form of u' = -u + sqrt(2) b can:
+        # u = b(t) T sqrt(pi)/2 erfcx(sqrt(2) (T^2/4 - t) / T)
+        rt2 = math.sqrt(2.0)
+        amp = math.sqrt(2.0 / (math.sqrt(math.pi) * gt))
+        u = sweep_module._adiabatic_series(np.array([rt2 * amp]), 2.0, gt)
+        s = np.linspace(-3.0, 3.0, 121)
+        b = amp * np.exp(-2.0 * s**2)
+        exact = b * gt * math.sqrt(math.pi) / 2.0 * erfcx(rt2 * (gt**2 / 4.0 - gt * s) / gt)
+        got = np.polynomial.polynomial.polyval(s, u) * np.exp(-2.0 * s**2)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-15 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("gt", [100.0, 1000.0, 1e4])
+    def test_builds_no_grid(self, gt, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _builtin_values(*args)
+        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        run_point("gauss", gt)
+        assert calls == []
+        run_point("gauss", 99.0)
+        assert calls, "below the crossover the grid is stepped"
+
+    def test_range_end_is_cheap(self):
+        def seconds():
+            t0 = time.perf_counter()
+            run_point("gauss", 1e4)
+            return time.perf_counter() - t0
+        assert min(seconds() for _ in range(5)) < 2e-3
+
+    def test_independent_of_the_grid_policy(self):
+        coarse = GridPolicy(samples_per_unit=50, lead_pad=0.0, tail=5.0)
+        assert run_point("gauss", 300.0, coarse) == run_point("gauss", 300.0)
+
+    def test_unsettled_series_raises(self):
+        # below the crossover the asymptotic series stalls above 2**-53
+        with pytest.raises(SolverError, match="not settled within 16 terms"):
+            sweep_module._adiabatic_gram(70.0)
+
+
 def test_default_sweep_matches_pinned_rows():
     """The default 121-point sweep of each shape against
     tests/data/default_sweep.csv: the rows of the solve that stepped every
-    node of the drive window, at 17 significant digits. Gauss has no
-    exponential runs and is bitwise the same; the others agree to 1e-13."""
+    node of the drive window, at 17 significant digits, except the gaussian
+    rows from gamma_t = 100 on, which are the adiabatic series' values.
+    Gauss has no exponential runs and is bitwise the same; the others agree
+    to 1e-13."""
     pinned = {}
     with open(Path(__file__).parent / "data" / "default_sweep.csv") as fh:
         assert next(fh).rstrip("\n").split(",") == ["shape", "gamma_t", *ROW_FIELDS]
