@@ -91,17 +91,21 @@ def decay_block(x: np.ndarray, rate: float, dt: float, x_prev=None,
     """The recurrence s_{n+1} = E s_n + w0 x_n + w1 x_{n+1} of
     d s/dt = -rate*s + x(t) over one block of real or complex drive samples
     x, continuing from the drive x_prev and the state s_prev at the node
-    before the block; with no x_prev the chain starts at rest, s = 0, on the
-    block's first node.
+    before the block; with no x_prev the chain starts on the block's first
+    node with s = s_prev there (at rest by default).
 
     Chaining blocks, each fed the last drive sample and state of the one
     before, reproduces the recurrence over the joined array bit for bit.
     """
     E, w0, w1 = _etd_weights(rate, dt)
     g = w1 * x
-    g[0] = 0.0 if x_prev is None else g[0] + w0 * x_prev
+    if x_prev is None:
+        g[0], carried = s_prev, 0.0
+    else:
+        g[0] += w0 * x_prev
+        carried = E * s_prev
     g[1:] += w0 * x[:-1]
-    return lfilter([1.0], [1.0, -E], g, zi=[E * s_prev])[0]
+    return lfilter([1.0], [1.0, -E], g, zi=[carried])[0]
 
 
 def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
@@ -111,12 +115,14 @@ def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
     return ComplexSignal(drive.grid, decay_block(drive.values, rate, drive.grid.dt))
 
 
-def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ComplexSignal:
+def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams(),
+                    u_start: complex = 0.0) -> ComplexSignal:
     """First-order dipole s1 = i u: causal response i sqrt(2 Gamma)
-    integral exp(-Gamma (t-s)) b_in(s) ds. u is integrated without the
+    integral exp(-Gamma (t-s)) b_in(s) ds, with u = u_start on the grid's
+    first node (0: the atom at rest there). u is integrated without the
     factor i, so a real pulse runs in real arithmetic."""
     g = params.gamma
-    u = decay_block(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt)
+    u = decay_block(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt, s_prev=u_start)
     return ComplexSignal(b_in.grid, 1j * u)
 
 
@@ -128,22 +134,27 @@ def second_order_excitation(sigma1: ComplexSignal) -> ComplexSignal:
 
 
 def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
-                         params: SystemParams = SystemParams()) -> ComplexSignal:
+                         params: SystemParams = SystemParams(),
+                         w_start: complex = 0.0) -> ComplexSignal:
     """Third-order dipole s3 = i w: linear response to the saturation drive
     -2 b_in sz2 (the excited fraction blocks absorption, hence the sign),
-    with w integrated without the factor i like s1's u."""
+    with w integrated without the factor i like s1's u, from w = w_start on
+    the grid's first node."""
     if b_in.grid != sigmaz2.grid:
         raise GridMismatchError("b_in and sigmaz2 must share a grid")
     g = params.gamma
     x = -2 * np.sqrt(2 * g) * b_in.values * sigmaz2.values.real
-    return ComplexSignal(b_in.grid, 1j * decay_block(x, g, b_in.grid.dt))
+    return ComplexSignal(b_in.grid, 1j * decay_block(x, g, b_in.grid.dt, s_prev=w_start))
 
 
-def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams()) -> ResponseChain:
-    """Run the full perturbative chain s1 -> sz2 -> s3."""
-    s1 = linear_response(b_in, params)
+def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams(),
+                start: tuple = (0.0, 0.0)) -> ResponseChain:
+    """Run the full perturbative chain s1 -> sz2 -> s3, from (u, w) =
+    (s1/i, s3/i) equal to `start` on the grid's first node; the default is
+    the ground state."""
+    s1 = linear_response(b_in, params, start[0])
     sz2 = second_order_excitation(s1)
-    s3 = third_order_response(b_in, sz2, params)
+    s3 = third_order_response(b_in, sz2, params, start[1])
     return ResponseChain(s1, sz2, s3)
 
 

@@ -136,7 +136,10 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail", type=float, default=DEFAULT_POLICY.tail,
                    help=f"grid extent past the pulse, units 1/Gamma (default {DEFAULT_POLICY.tail})")
     p.add_argument("--lead-pad", type=float, default=DEFAULT_POLICY.lead_pad,
-                   help=f"grid extent before the pulse (default {DEFAULT_POLICY.lead_pad})")
+                   help="grid extent before the pulse, units 1/Gamma: where exported "
+                        "waveforms and the trapezoid sums begin; the atom starts at rest "
+                        "there, or in its driven state for rising-exp and sym-exp, which "
+                        f"have been on since t = -inf (default {DEFAULT_POLICY.lead_pad})")
 
 
 def _add_shape_flags(p: argparse.ArgumentParser) -> None:

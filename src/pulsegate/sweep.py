@@ -10,24 +10,28 @@ each point is converged on its own terms.
 The amplitude-only path (run_point, which sweeps and the peak search
 use) streams the drive window of the grid (pulses.drive_window) through
 blocks of BLOCK_NODES nodes and keeps only the three overlap integrals
-the amplitudes need, so its memory does not grow with the grid. Two
-stretches are summed in closed form instead of stepped. Where the pulse is
-one exponential over a run of nodes (the rectangular plateau, the rising
-exponential, either side of the symmetric exponential's kink), the outputs
-become exponentials once the chain's transients have decayed, and the rest
-of the run is a geometric sum: a long pulse costs a few blocks, not one
-step per node. Past the window every waveform is in free decay, whose
-trapezoid sum to the grid end is added the same way. The third route, for
-the gaussian from gamma_t = _GAUSS_ADIABATIC_GT on, builds no grid: its
-outputs are adiabatic series with exact overlap integrals (_adiabatic_gram).
-solve_spec runs the array pipeline on every node of the grid and stores
-every waveform; it refuses grids above WAVEFORM_NODE_BUDGET nodes.
+the amplitudes need, so its memory does not grow with the grid. Where
+the pulse is one exponential over a run of nodes (the rectangular
+plateau, the rising exponential, either side of the symmetric
+exponential's kink), the outputs are exponentials once the chain's
+transients have decayed, and the run is a geometric sum: a long pulse
+costs a few blocks, not one step per node. The rising exponential and
+the symmetric exponential's left side have been on since t = -inf, so
+the chain starts in their driven state and the whole leading run is
+summed before any node is stepped; the rectangular and gaussian pulses'
+leading nodes at which the pulse is exactly 0.0 are not stepped at all.
+Past the window every waveform is in free decay, whose trapezoid sum to
+the grid end is added in closed form too. The gaussian from gamma_t =
+_GAUSS_ADIABATIC_GT on builds no grid: its outputs are adiabatic series
+with exact overlap integrals (_adiabatic_gram). solve_spec runs the
+array pipeline on every node of the grid, from the same start state,
+and stores every waveform; it refuses grids above WAVEFORM_NODE_BUDGET
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
@@ -41,8 +45,8 @@ from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec, _builtin_values,
-                     _exponential_runs, check_span, default_grid_for, drive_window,
-                     sample_pulse)
+                     _exponential_runs, _nodes_through, check_span, default_grid_for,
+                     drive_window, sample_pulse)
 from .signal import ComplexSignal, TimeGrid, _dot, _geometric_sum, require_finite
 from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, limit_report
 
@@ -59,8 +63,9 @@ WAVEFORM_NODE_BUDGET = 2**24
 # An exponential run is summed in closed form once its transients are below
 # 2**-53 of its driven part, the rounding of the node values it replaces.
 _SETTLED = 2.0**-53
-# the largest argument math.exp takes without overflow
-_EXP_MAX = math.log(sys.float_info.max)
+# exp(-x) rounds to exactly 0.0 in double precision from x = 745.14 on, so
+# the gaussian exp(-2 (t/T)^2) does wherever |t| >= sqrt(746 / 2) T
+_GAUSS_ZERO = math.sqrt(373.0)
 # run_point solves a gaussian this long or longer by _adiabatic_gram, whose
 # series then sum to 2**-53 within _SERIES_TERMS terms
 _GAUSS_ADIABATIC_GT = 100.0
@@ -143,7 +148,10 @@ def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
 def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
     """Run the full pipeline for an already-built pulse spec on every node
     of its policy grid. A grid over WAVEFORM_NODE_BUDGET nodes raises
-    ConfigError before anything is sampled."""
+    ConfigError before anything is sampled. The chain starts at rest,
+    except on a pulse that opens on an exponential run (the rising and the
+    symmetric exponential), which has been on since t = -inf: there it
+    starts in that run's driven state."""
     grid = default_grid_for(spec, policy)
     if grid.n > WAVEFORM_NODE_BUDGET:
         raise ConfigError(
@@ -152,7 +160,13 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
             "amplitude-only sweep and peak, which solve any grid in bounded memory")
     params = SystemParams()
     b_in = sample_pulse(spec, grid)
-    chain = solve_chain(b_in, params)
+    start = (0.0, 0.0)
+    runs = _exponential_runs(spec.shape, spec.duration, grid)
+    if runs and runs[0][0] == 0:
+        # a leading run: the chain starts in its driven state, as in _output_gram
+        _, u0, _, w0 = _driven_state(runs[0][2], grid.dt, float(b_in.values[0]))
+        start = (u0, w0)
+    chain = solve_chain(b_in, params, start)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them
     dec = decompose(pair)
@@ -167,37 +181,50 @@ def solve_point(shape: ShapeLike, gamma_t: float,
     return solve_spec(_builtin_spec(_as_shape(shape), gamma_t), policy)
 
 
+def _driven_state(lam: float, dt: float, b: float) -> tuple[float, float, float, float]:
+    """The node state (x1, u, x3, w) of a run of b = C exp(lam t) at a node
+    where the pulse is b, once no transient is left: the discrete particular
+    solutions of the ETD recurrence. lam must exceed -1/3, so that they
+    outlast the transients.
+
+    With rho = exp(lam dt), the recurrence driven by x1 = sqrt(2) b is
+    solved by u = c x1, c = (w0 + w1 rho) / (rho - E), and the one driven
+    by x3 = -2 sqrt(2) b u^2, which changes by rho^3 per node, by w = d x3,
+    d = (w0 + w1 rho^3) / (rho^3 - E).
+    """
+    E, w0, w1 = _etd_weights(1.0, dt)
+    rho = math.exp(lam * dt)
+    x1 = math.sqrt(2.0) * b
+    # rho - E and rho^3 - E without cancellation: 1 - E is exact
+    u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * x1
+    x3 = -2.0 * math.sqrt(2.0) * b * (u * u)
+    w = (w0 + w1 * rho**3) / (math.expm1(3.0 * lam * dt) + (1.0 - E)) * x3
+    return x1, u, x3, w
+
+
 def _settling_nodes(lam: float, dt: float, b: float, u: float, w: float,
                     limit: int) -> int | None:
     """Nodes after a node of a run of b = C exp(lam t) at which the state
-    (u, w) there is its driven part to 2**-53; None if that is `limit` or
-    more nodes on, or cannot be told.
+    (u, w) there is its driven part (_driven_state) to 2**-53; None if that
+    is `limit` or more nodes on, or cannot be told.
 
-    With rho = exp(lam dt), the ETD recurrence driven by x1 = sqrt(2) b is
-    solved by u = c x1 + transient, c = (w0 + w1 rho) / (rho - E), and the
-    one driven by x3 = -2 sqrt(2) b u^2 by w = d P + transient, with P the
-    x3 of u = c x1 and d = (w0 + w1 rho^3) / (rho^3 - E). Relative to the
-    driven parts the transients shrink by tau = E / min(rho, rho^3) per
-    node. So k nodes on, they are at most (du + dw) tau^k, from the
-    mismatches du and dw of u and w measured here, plus the response of w
-    to the forcing (2 + du) du that u's mismatch puts into x3, at most
-    (2 + du) du |1 - E / rho^3| k tau^(k-1): a factor k, since that
-    forcing resonates with w's own decay on the rectangular plateau.
+    Relative to the driven parts the transients shrink by
+    tau = E / min(rho, rho^3) per node, rho = exp(lam dt). So k nodes on,
+    they are at most (du + dw) tau^k, from the mismatches du and dw of u and
+    w measured here, plus the response of w to the forcing (2 + du) du that
+    u's mismatch puts into x3, at most (2 + du) du |1 - E / rho^3| k
+    tau^(k-1): a factor k, since that forcing resonates with w's own decay
+    on the rectangular plateau.
     """
-    E, w0, w1 = _etd_weights(1.0, dt)
+    E = _etd_weights(1.0, dt)[0]
     log_tau = -dt * (1.0 + min(lam, 3.0 * lam))
-    # rho - E and rho^3 - E without cancellation: 1 - E is exact
-    gap1 = math.expm1(lam * dt) + (1.0 - E)
-    gap3 = math.expm1(3.0 * lam * dt) + (1.0 - E)
-    if log_tau >= 0.0 or min(gap1, gap3) <= 0.0:
+    gap3 = math.expm1(3.0 * lam * dt) + (1.0 - E)      # rho^3 - E
+    if log_tau >= 0.0 or gap3 <= 0.0:
         # tau >= 1, the symmetric exponential's trailing side at T <= 6:
         # the driven part decays as fast as the transients or faster
         return None
     rho = math.exp(lam * dt)
-    u_drv = (w0 + w1 * rho) / gap1 * math.sqrt(2.0) * b
-    w_drv = (w0 + w1 * rho**3) / gap3 * (-2.0 * math.sqrt(2.0) * b * u_drv * u_drv)
-    if not min(abs(u_drv), abs(w_drv)) >= sys.float_info.min:
-        return None     # underflowed (a long lead-in): nothing to measure against
+    _, u_drv, _, w_drv = _driven_state(lam, dt, b)
     du = abs(u - u_drv) / abs(u_drv)
     dw = abs(w - w_drv) / abs(w_drv)
     cross = (2.0 + du) * du * abs(gap3) / rho**3 / math.exp(log_tau)
@@ -280,6 +307,17 @@ def _adiabatic_gram(T: float) -> np.ndarray:
     return gram
 
 
+def _zero_lead(shape: PulseShape, T: float, grid: TimeGrid) -> int:
+    """Number of leading grid nodes at which _builtin_values is exactly 0.0
+    by the pulse's formula: the rectangular pulse's nodes before -T, out of
+    _halve_on_jumps' reach, and the gaussian's where its exp underflows."""
+    if shape is PulseShape.RECTANGULAR:
+        return _nodes_through(grid, -T - 1e-6 * grid.dt)
+    if shape is PulseShape.GAUSSIAN:
+        return _nodes_through(grid, -_GAUSS_ZERO * T)
+    return 0
+
+
 def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     """Trapezoid Gram matrix of the outputs of a built-in pulse on `grid`,
     [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]].
@@ -291,32 +329,59 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     Every node value is bitwise the one the array pipeline computes; only
     the summation order differs.
 
-    One state passes between blocks: the node state (x1, u, x3, w), the
-    drives sqrt(2) b and -2 sqrt(2) b u^2 and their responses, and the end
-    pair (b1, b3) at the last node done; at first, node 0 with the chain at
-    rest. Each block and each take-over reads it and leaves its last node.
+    One state passes between blocks and take-overs: the node state
+    (x1, u, x3, w), the drives sqrt(2) b and -2 sqrt(2) b u^2 and their
+    responses, and the end pair (b1, b3) at the last node done. Each block
+    and each take-over reads it and leaves its last node.
 
-    Two stretches are summed in closed form instead. Inside a run on which
-    the pulse is one exponential exp(lam t) (pulses._exponential_runs), the
-    state at each block end is checked: once the transients left from the
-    run's entry are below 2**-53 of the driven part (_settling_nodes), b1
-    and b3 go as exp(lam t) and exp(3 lam t) to the run's last node, so the
-    blocks step only to that node, the rest of the run enters as geometric
-    sums, and the state jumps to the run's last node, from which stepping
-    resumes. The pulse's jumps and kink are always stepped. On the nodes
-    past the window b1 and b3 are their last window values times
-    exp(-(t - t_last)), so those nodes enter as the last node's closed-form
-    trapezoid weight.
+    Where the grid opens on a leading run, on which the pulse is one
+    exponential exp(lam t) with lam > 0 (pulses._exponential_runs: the
+    rising exponential, the symmetric exponential's left side), the pulse
+    has been on since t = -inf, and the chain is in its driven state from
+    node 0 on (_driven_state): b1 and b3 go as exp(lam t) and exp(3 lam t),
+    the whole run enters as geometric sums from node 0, and stepping starts
+    from its last node. Otherwise the chain starts at rest, and the leading
+    nodes at which the pulse is exactly 0.0 (_zero_lead) would only add
+    exact zeros: the blocks start at the last multiple of BLOCK_NODES in
+    them, so the blocks that are stepped are the ones stepping from node 0
+    would step.
+
+    Inside a later run (the rectangular plateau, the symmetric
+    exponential's right side) the state at each block end is checked: once
+    the transients left from the run's entry are below 2**-53 of the driven
+    part (_settling_nodes), the blocks step only to that node, the rest of
+    the run enters as geometric sums, and the state lands in its driven
+    state on the run's last node, from which stepping resumes. The pulse's
+    jumps and kink are always stepped. On the nodes past the window b1 and
+    b3 are their last window values times exp(-(t - t_last)), so those
+    nodes enter as the last node's closed-form trapezoid weight.
     """
     check_span(spec, grid)
     shape, T, dt = spec.shape, spec.duration, grid.dt
     n = drive_window(spec, grid)
     runs = [(lo, min(hi, n - 1), lam) for lo, hi, lam in _exponential_runs(shape, T, grid)]
     rt2 = math.sqrt(2.0)
+
+    def driven(node: int, lam: float):
+        """The node state and end pair of a settled run at `node`."""
+        b = float(_builtin_values(shape, T, grid.times(node, node + 1), dt)[0])
+        x1, u, x3, w = _driven_state(lam, dt, b)
+        return (x1, u, x3, w), np.array((u * -rt2 + b, w * -rt2))
+
     gram = np.zeros((2, 2))
-    state = (None, 0.0, None, 0.0)
-    first = end = np.array((_builtin_values(shape, T, grid.times(0, 1), dt)[0], 0.0))
-    a, jump = 0, None
+    if runs and runs[0][0] == 0:
+        _, hi, lam = runs.pop(0)
+        first = driven(0, lam)[1]
+        state, end = driven(hi, lam)
+        gram += _run_sums(lam, dt, hi + 1, *end)
+        a = hi + 1
+    else:
+        # at rest on node a, where the pulse is 0.0 if a > 0
+        state = (None, 0.0, None, 0.0)
+        a = max(_zero_lead(shape, T, grid) - 1, 0) // BLOCK_NODES * BLOCK_NODES
+        b0 = 0.0 if a else float(_builtin_values(shape, T, grid.times(0, 1), dt)[0])
+        first = end = np.array((b0, 0.0))
+    jump = None
     while a < n:
         stop = min(a + BLOCK_NODES, n, n if jump is None else jump[0] + 1)
         b = _builtin_values(shape, T, grid.times(a, stop), dt)
@@ -338,19 +403,13 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
             _, hi, lam = runs[0]
             k = _settling_nodes(lam, dt, float(b[-1]), float(u[-1]), float(w[-1]), hi - e)
             if k is not None:
-                # the scale across the jump from node times, not rho**(hi - m),
-                # whose rounding the power amplifies
-                span = (grid.t_start + dt * hi) - (grid.t_start + dt * (e + k))
-                if 3.0 * lam * span < _EXP_MAX:
-                    jump = (e + k, hi, lam, span)
-                    del runs[0]
+                jump = (e + k, hi, lam)
+                del runs[0]
         if jump is not None and jump[0] == e:
-            m, hi, lam, span = jump
-            u_hi, w_hi = u[-1] * math.exp(lam * span), w[-1] * math.exp(3.0 * lam * span)
-            b_hi = _builtin_values(shape, T, grid.times(hi, hi + 1), dt)[0]
-            state = (rt2 * b_hi, u_hi, -2.0 * rt2 * b_hi * (u_hi * u_hi), w_hi)
-            end_m, end = end, np.array((u_hi * -rt2 + b_hi, w_hi * -rt2))
-            gram += _run_sums(lam, dt, hi - m, *(end if lam > 0 else end_m))
+            m, hi, lam = jump
+            # a later run has lam <= 0, so its sums are anchored at node m
+            gram += _run_sums(lam, dt, hi - m, *end)
+            state, end = driven(hi, lam)
             a, jump = hi + 1, None
     # the last node's trapezoid weight, in units of dt, once the `tail`
     # nodes after it, where b1 and b3 relax as exp(-t), are summed in:

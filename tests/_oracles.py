@@ -6,10 +6,11 @@ package's integrators, so agreement is a genuine cross-check. Three
 exceptions are plain copies of faster package code, kept as references:
 `rk4_full_bloch`, the step-by-step RK4 oracle that `pulsegate.full_bloch`
 is checked against, `stepped_output_gram`, the streamed Gram matrix with
-every drive-window node stepped, that the closed-form exponential runs of
-`pulsegate.sweep._output_gram` are checked against, and `csv_text`, the
-one-value-at-a-time CSV formatter that the CLI's block writer is checked
-against.
+every drive-window node stepped (from rest, over a long lead-in for the
+pulses that have been on since t = -inf), that the closed-form
+exponential runs of `pulsegate.sweep._output_gram` are checked against,
+and `csv_text`, the one-value-at-a-time CSV formatter that the CLI's
+block writer is checked against.
 
 Conventions: Gamma = 1, times in 1/Gamma.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from pulsegate.bloch import FullBlochState, SystemParams, decay_block
 from pulsegate.errors import StepInstabilityError
-from pulsegate.pulses import _builtin_values, check_span, drive_window
+from pulsegate.pulses import PulseShape, _builtin_values, check_span, drive_window
 from pulsegate.signal import ComplexSignal, _dot, _geometric_sum, require_finite
 from pulsegate.sweep import BLOCK_NODES
 
@@ -145,25 +146,54 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
 
 # -- the streamed Gram matrix with every drive-window node stepped -----------
 
+# Time units, times 1 / (1 + lam), that the chain is stepped from rest before a
+# grid that opens on an exponential e^{lam t}: its transient is then below
+# e^-40 = 4e-18 of the driven part, under 2**-53.
+LEAD_IN = 40.0
+
+
+def _leading_rate(spec):
+    """lam of the exponential e^{lam t} the pulse has followed since
+    t = -inf, or None: the rising exponential (1/T) and the symmetric
+    exponential's left side (2/T)."""
+    return {PulseShape.RISING_EXP: 1.0 / spec.duration,
+            PulseShape.SYM_EXP: 2.0 / spec.duration}.get(spec.shape)
+
+
 def stepped_output_gram(spec, grid):
-    """`pulsegate.sweep._output_gram` as first written: every node of the
-    drive window stepped block by block, only the free-decay ringdown past
-    it in closed form (its weight written through `_geometric_sum`)."""
+    """`pulsegate.sweep._output_gram` with every drive-window node stepped
+    block by block, only the free-decay ringdown past it in closed form (its
+    weight written through `_geometric_sum`).
+
+    A pulse that has been on since t = -inf is stepped from rest over
+    LEAD_IN / (1 + lam) more time units before the grid, on the nodes
+    t_start - j dt, so the chain reaches the grid's first node in its
+    driven state; only the grid's nodes enter the sums. Other pulses are
+    stepped from rest on the grid's first node."""
     check_span(spec, grid)
     dt = grid.dt
     n = drive_window(spec, grid)
     rt2 = math.sqrt(2.0)
     gram = np.zeros((2, 2))
+    state = (None, 0.0, None, 0.0)
+    lam = _leading_rate(spec)
+    if lam is not None:
+        lead = grid.t_start - dt * np.arange(math.ceil(LEAD_IN / (1.0 + lam) / dt), 0, -1)
+        b = _builtin_values(spec.shape, spec.duration, lead, dt)
+        x1 = rt2 * b
+        u = decay_block(x1, 1.0, dt)
+        x3 = -2.0 * rt2 * b
+        x3 *= u * u
+        w = decay_block(x3, 1.0, dt)
+        state = (x1[-1], u[-1], x3[-1], w[-1])
     for a in range(0, n, BLOCK_NODES):
         b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
         x1 = rt2 * b
-        u = (decay_block(x1, 1.0, dt) if a == 0
-             else decay_block(x1, 1.0, dt, x1_prev, u[-1]))
+        u = decay_block(x1, 1.0, dt, *state[:2])
         x3 = -2.0 * rt2 * b
         x3 *= u * u
-        w = (decay_block(x3, 1.0, dt) if a == 0
-             else decay_block(x3, 1.0, dt, x3_prev, w[-1]))
-        x1_prev, x3_prev = x1[-1], x3[-1]
+        w = decay_block(x3, 1.0, dt, *state[2:])
+        state = (x1[-1], u[-1], x3[-1], w[-1])
         b1 = u * -rt2
         b1 += b
         b3 = w * -rt2

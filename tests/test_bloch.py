@@ -67,6 +67,15 @@ class TestLinearResponse:
             got.extend(decay_block(x[a:a + block], 1.0, b.grid.dt, x[a - 1], got[-1]))
         np.testing.assert_array_equal(got, u)
 
+    def test_start_state_is_the_first_node(self):
+        # a chain started in state u0 on the first node is the chain
+        # continued from that node in that state
+        b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
+        x = np.sqrt(2.0) * b.values
+        u = linear_response(b, u_start=0.3).values.imag
+        assert u[0] == 0.3
+        np.testing.assert_array_equal(u[1:], decay_block(x[1:], 1.0, b.grid.dt, x[0], 0.3))
+
     def test_causality(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 1.0)
         s1 = linear_response(b)

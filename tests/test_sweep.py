@@ -44,6 +44,18 @@ PEAKS = {
 FAST = GridPolicy(samples_per_unit=400)
 
 
+def record_samples(monkeypatch):
+    """Route sweep's pulse sampler through a recorder; returns the list the
+    node times of every call are appended to."""
+    calls = []
+
+    def recording(shape, T, t, dt):
+        calls.append(t)
+        return _builtin_values(shape, T, t, dt)
+    monkeypatch.setattr(sweep_module, "_builtin_values", recording)
+    return calls
+
+
 class TestRunPoint:
     def test_deterministic(self):
         a = run_point("gauss", 1.3)
@@ -274,6 +286,15 @@ class TestDriveWindow:
         np.testing.assert_allclose([getattr(row, f) for f in ROW_FIELDS],
                                    amplitudes(ref), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape, lam", [("rising-exp", 1.0), ("sym-exp", 2.0)])
+    def test_waveforms_start_in_the_driven_state(self, shape, lam):
+        # the pulse has been e^{lam t} since t = -inf, so on the grid's first
+        # node b1 is already its driven (lam - 1) / (lam + 1) b; from rest it
+        # would be b
+        sol = solve_point(shape, 1.0)
+        ratio = sol.pair.linear.values[0] / sol.b_in.values[0]
+        assert ratio.real == pytest.approx((lam - 1.0) / (lam + 1.0), rel=0, abs=1e-5)
+
     def test_custom_pulse_matches_full_grid(self):
         # the amplitudes are scipy's trapezoid sums of the stored waveforms
         # over the whole grid
@@ -330,6 +351,34 @@ def row_fields(row):
     return [getattr(row, f) for f in ROW_FIELDS]
 
 
+# rising-exp against its closed forms over the whole range
+RISING_C12_BOUND = 1.62e-7
+RISING_OVERLAP_BOUND = 8.0e-7
+
+
+class TestWholeRange:
+    """Points drawn log-uniformly from the whole supported range."""
+
+    @given(shape=st.sampled_from(BUILTIN), log_gt=st.floats(-3.0, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_quantum_limits_hold(self, shape, log_gt):
+        row = run_point(shape, 10.0 ** log_gt)
+        limit = twophoton.limit_report(complex(row.overlap_re, row.overlap_im), row.c12_sq)
+        assert limit.circle_ok and limit.reduction_ok
+
+    # the default grid's second-order error: at most 1.600e-7 in c12_sq (at
+    # gamma_t = 1.8) and 7.97e-7 in the overlap (at 3, where the step stops
+    # growing with T), over 3,000 log-spaced points
+    @given(log_gt=st.floats(-3.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rising_exp_closed_form(self, log_gt):
+        gt = 10.0 ** log_gt
+        row = run_point("rising-exp", gt)
+        assert abs(row.c12_sq - orc.rising_c12_sq(gt)) <= RISING_C12_BOUND
+        assert abs(complex(row.overlap_re, row.overlap_im) - orc.rising_overlap(gt)) \
+            <= RISING_OVERLAP_BOUND
+
+
 def largest_divisor(n):
     """The largest proper divisor of n above 1, or n itself when n is prime."""
     return next((d for d in range(n // 2, 1, -1) if n % d == 0), n)
@@ -357,19 +406,13 @@ class TestStreamedSolve:
         ref = run_point(shape, gt)
         spec = PulseSpec(PulseShape(shape), gt)
         n = drive_window(spec, default_grid_for(spec))
-        sampled = []
-
-        def counting(*args):
-            v = _builtin_values(*args)
-            sampled.append(len(v))
-            return v
-        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        sampled = record_samples(monkeypatch)
         for block in (1000, 4096, 5003, 16385):
             monkeypatch.setattr(sweep_module, "BLOCK_NODES", block)
             sampled.clear()
             np.testing.assert_allclose(row_fields(run_point(shape, gt)), row_fields(ref),
                                        rtol=0, atol=1e-13, err_msg=f"block of {block}")
-            assert sum(sampled) < n, f"block of {block}: no run taken over"
+            assert sum(map(len, sampled)) < n, f"block of {block}: no run taken over"
 
     def test_memory_stays_within_a_few_blocks(self):
         run_point("sym-exp", 1000.0)        # warm caches and lazy imports
@@ -428,23 +471,52 @@ class TestExponentialRuns:
     def test_agrees_at_resonances(self, shape, gt):
         self.check(shape, gt)
 
-    @pytest.mark.parametrize("shape", ["rect", "rising-exp"])
+    @pytest.mark.parametrize("shape", RUN_SHAPES)
     def test_agrees_at_range_end(self, shape):
         self.check(shape, 1e4)
+
+    @pytest.mark.parametrize("shape", RUN_SHAPES)
+    def test_agrees_at_shortest_pulse(self, shape):
+        self.check(shape, 1e-3)
 
     @pytest.mark.parametrize("shape", ["rising-exp", "sym-exp"])
     def test_long_pulse_samples_few_nodes(self, shape, monkeypatch):
         # stepping every node of the window samples 3.8M (rising-exp) and
         # 8M (sym-exp) nodes here
-        sampled = []
-
-        def counting(*args):
-            v = _builtin_values(*args)
-            sampled.append(len(v))
-            return v
-        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        sampled = record_samples(monkeypatch)
         run_point(shape, 1000.0)
-        assert sum(sampled) < 10 * sweep_module.BLOCK_NODES
+        assert sum(map(len, sampled)) < 10 * sweep_module.BLOCK_NODES
+
+    @pytest.mark.parametrize("gt", [1e-3, 1.0, 1e4])
+    def test_rising_exp_samples_three_nodes(self, gt, monkeypatch):
+        # the leading run is summed from its driven state: node 0, the run's
+        # last node, and the one node past the cutoff that ends the window
+        sampled = record_samples(monkeypatch)
+        run_point("rising-exp", gt)
+        assert sum(map(len, sampled)) <= 3
+
+    @pytest.mark.parametrize("shape", ["rect", "gauss"])
+    def test_zero_lead_is_skipped(self, shape, monkeypatch):
+        # at gamma_t = 1e-3 the pulse is exactly 0.0 on 96-99% of the window;
+        # of those nodes only the ones in the block of the last are sampled
+        spec = PulseSpec(PulseShape(shape), 1e-3)
+        grid = default_grid_for(spec)
+        n = drive_window(spec, grid)
+        lead = int(np.flatnonzero(_builtin_values(spec.shape, 1e-3, grid.times(0, n), grid.dt))[0])
+        assert lead > 0.95 * n
+        sampled = record_samples(monkeypatch)
+        run_point(shape, 1e-3)
+        t = np.concatenate(sampled)
+        assert np.count_nonzero(t < grid.times(lead, lead + 1)[0]) < sweep_module.BLOCK_NODES
+
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_shortest_pulse_is_cheap(self, shape):
+        # stepping the whole window from rest took 4-15 ms here
+        def seconds():
+            t0 = time.perf_counter()
+            run_point(shape, 1e-3)
+            return time.perf_counter() - t0
+        assert min(seconds() for _ in range(5)) < 5e-3
 
     @pytest.mark.parametrize("lam", [0.0, 1.0 / 50, 1.0, 2.0 / 50, -2.0 / 10])
     def test_settling_bound_holds_along_a_run(self, lam):
@@ -468,8 +540,6 @@ class TestExponentialRuns:
         # faster than the dipole: its transients never fall behind
         for T in (2.0, 6.0 - 1e-9, 6.0):
             assert sweep_module._settling_nodes(-2.0 / T, dt, 1.0, 0.5, -0.1, 10**9) is None
-        # a lead-in whose driven w underflows gives nothing to measure against
-        assert sweep_module._settling_nodes(1.0, dt, 1e-120, 0.0, 0.0, 10**9) is None
         # a state that is no number gives no bound
         assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, math.inf, 10**9) is None
         # a settling point past the run's end is no take-over
@@ -538,12 +608,7 @@ class TestAdiabaticGauss:
 
     @pytest.mark.parametrize("gt", [100.0, 1000.0, 1e4])
     def test_builds_no_grid(self, gt, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _builtin_values(*args)
-        monkeypatch.setattr(sweep_module, "_builtin_values", counting)
+        calls = record_samples(monkeypatch)
         run_point("gauss", gt)
         assert calls == []
         run_point("gauss", 99.0)
@@ -569,10 +634,11 @@ class TestAdiabaticGauss:
 def test_default_sweep_matches_pinned_rows():
     """The default 121-point sweep of each shape against
     tests/data/default_sweep.csv: the rows of the solve that stepped every
-    node of the drive window, at 17 significant digits, except the gaussian
-    rows from gamma_t = 100 on, which are the adiabatic series' values.
-    Gauss has no exponential runs and is bitwise the same; the others agree
-    to 1e-13."""
+    node of the drive window (`_oracles.stepped_output_gram`, so rising-exp
+    and sym-exp over its long lead-in), at 17 significant digits, except the
+    gaussian rows from gamma_t = 100 on, which are the adiabatic series'
+    values. Gauss has no exponential runs and is bitwise the same; the
+    others agree to 1e-13."""
     pinned = {}
     with open(Path(__file__).parent / "data" / "default_sweep.csv") as fh:
         assert next(fh).rstrip("\n").split(",") == ["shape", "gamma_t", *ROW_FIELDS]
