@@ -44,6 +44,9 @@ GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
 # change any sum they enter.
 SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
 GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
+# _halve_on_jumps halves the nodes closer than this many steps dt to a
+# jump; _exponential_runs and sweep._zero_lead keep clear of the same reach
+_JUMP_REACH = 1e-6
 
 
 class PulseShape(str, enum.Enum):
@@ -266,11 +269,11 @@ def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np
 
 def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float) -> np.ndarray:
     """Set v to `value`, the mean of the two one-sided limits, at every node
-    within 1e-6 dt of a jump; only the nodes within dt of it are tested."""
+    within _JUMP_REACH dt of a jump; only the nodes within dt of it are tested."""
     for tj in jumps:
         lo, hi = np.searchsorted(t, (tj - dt, tj + dt))
         near = v[lo:hi]
-        near[np.abs(t[lo:hi] - tj) < 1e-6 * dt] = value
+        near[np.abs(t[lo:hi] - tj) < _JUMP_REACH * dt] = value
     return v
 
 
@@ -283,7 +286,7 @@ def _exponential_runs(shape: PulseShape, T: float,
     (2/T up to the last node at or before it, -2/T from the first node past
     it). Nodes halved at a jump are left out. Gaussian and custom pulses
     have none."""
-    tol = 1e-6 * grid.dt     # the reach of _halve_on_jumps
+    tol = _JUMP_REACH * grid.dt
     if shape is PulseShape.RECTANGULAR:
         runs = [(_nodes_through(grid, -T + tol), _nodes_through(grid, -tol) - 1, 0.0)]
     elif shape is PulseShape.RISING_EXP:

@@ -13,9 +13,10 @@ blocks of BLOCK_NODES nodes and keeps only the three overlap integrals
 the amplitudes need, so its memory does not grow with the grid. Where
 the pulse is one exponential over a run of nodes (the rectangular
 plateau, the rising exponential, either side of the symmetric
-exponential's kink), the outputs are exponentials once the chain's
-transients have decayed, and the run is a geometric sum: a long pulse
-costs a few blocks, not one step per node. The rising exponential and
+exponential's kink), one step of the chain is one fixed linear map of
+the node state, and the sums over a long run are closed forms from its
+first node, transients included: a long pulse costs a few stepped nodes,
+not one step per node. The rising exponential and
 the symmetric exponential's left side have been on since t = -inf, so
 the chain starts in their driven state and the whole leading run is
 summed before any node is stepped; the rectangular and gaussian pulses'
@@ -40,6 +41,7 @@ from typing import Union
 
 import numpy as np
 
+from . import pulses
 from .bloch import SystemParams, _etd_weights, decay_block, solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
@@ -60,8 +62,7 @@ BLOCK_NODES = 16384
 # orders and the outputs at 8-16 bytes each): 2**24 nodes is about 1.74 GB,
 # the most a 2-core / 7 GB machine is asked to hold.
 WAVEFORM_NODE_BUDGET = 2**24
-# An exponential run is summed in closed form once its transients are below
-# 2**-53 of its driven part, the rounding of the node values it replaces.
+# A series is summed once its next term is below the rounding of its sum
 _SETTLED = 2.0**-53
 # exp(-x) rounds to exactly 0.0 in double precision from x = 745.14 on, so
 # the gaussian exp(-2 (t/T)^2) does wherever |t| >= sqrt(746 / 2) T
@@ -164,8 +165,7 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
     runs = _exponential_runs(spec.shape, spec.duration, grid)
     if runs and runs[0][0] == 0:
         # a leading run: the chain starts in its driven state, as in _output_gram
-        _, u0, _, w0 = _driven_state(runs[0][2], grid.dt, float(b_in.values[0]))
-        start = (u0, w0)
+        start = _driven_state(runs[0][2], grid.dt, float(b_in.values[0]))
     chain = solve_chain(b_in, params, start)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them
@@ -181,11 +181,10 @@ def solve_point(shape: ShapeLike, gamma_t: float,
     return solve_spec(_builtin_spec(_as_shape(shape), gamma_t), policy)
 
 
-def _driven_state(lam: float, dt: float, b: float) -> tuple[float, float, float, float]:
-    """The node state (x1, u, x3, w) of a run of b = C exp(lam t) at a node
-    where the pulse is b, once no transient is left: the discrete particular
-    solutions of the ETD recurrence. lam must exceed -1/3, so that they
-    outlast the transients.
+def _driven_state(lam: float, dt: float, b: float) -> tuple[float, float]:
+    """The state (u, w) of the chain driven by a run of b = C exp(lam t), lam
+    > 0, since t = -inf, at a node where the pulse is b: the discrete
+    particular solutions of the ETD recurrence.
 
     With rho = exp(lam dt), the recurrence driven by x1 = sqrt(2) b is
     solved by u = c x1, c = (w0 + w1 rho) / (rho - E), and the one driven
@@ -194,67 +193,65 @@ def _driven_state(lam: float, dt: float, b: float) -> tuple[float, float, float,
     """
     E, w0, w1 = _etd_weights(1.0, dt)
     rho = math.exp(lam * dt)
-    x1 = math.sqrt(2.0) * b
     # rho - E and rho^3 - E without cancellation: 1 - E is exact
-    u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * x1
+    u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * (math.sqrt(2.0) * b)
     x3 = -2.0 * math.sqrt(2.0) * b * (u * u)
-    w = (w0 + w1 * rho**3) / (math.expm1(3.0 * lam * dt) + (1.0 - E)) * x3
-    return x1, u, x3, w
-
-
-def _settling_nodes(lam: float, dt: float, b: float, u: float, w: float,
-                    limit: int) -> int | None:
-    """Nodes after a node of a run of b = C exp(lam t) at which the state
-    (u, w) there is its driven part (_driven_state) to 2**-53; None if that
-    is `limit` or more nodes on, or cannot be told.
-
-    Relative to the driven parts the transients shrink by
-    tau = E / min(rho, rho^3) per node, rho = exp(lam dt). So k nodes on,
-    they are at most (du + dw) tau^k, from the mismatches du and dw of u and
-    w measured here, plus the response of w to the forcing (2 + du) du that
-    u's mismatch puts into x3, at most (2 + du) du |1 - E / rho^3| k
-    tau^(k-1): a factor k, since that forcing resonates with w's own decay
-    on the rectangular plateau.
-    """
-    E = _etd_weights(1.0, dt)[0]
-    log_tau = -dt * (1.0 + min(lam, 3.0 * lam))
-    gap3 = math.expm1(3.0 * lam * dt) + (1.0 - E)      # rho^3 - E
-    if log_tau >= 0.0 or gap3 <= 0.0:
-        # tau >= 1, the symmetric exponential's trailing side at T <= 6:
-        # the driven part decays as fast as the transients or faster
-        return None
-    rho = math.exp(lam * dt)
-    _, u_drv, _, w_drv = _driven_state(lam, dt, b)
-    du = abs(u - u_drv) / abs(u_drv)
-    dw = abs(w - w_drv) / abs(w_drv)
-    cross = (2.0 + du) * du * abs(gap3) / rho**3 / math.exp(log_tau)
-    if not math.isfinite(dw + cross):
-        return None
-    # smallest k with (du + dw + cross k) tau^k <= 2**-53, by a fixed-point
-    # iteration that climbs to it from k = 0
-    k = 0
-    while True:
-        bound = du + dw + cross * k
-        k_next = 0 if bound <= _SETTLED else math.ceil(math.log(_SETTLED / bound) / log_tau)
-        if k_next >= limit:
-            return None
-        if k_next <= k:
-            return k
-        k = k_next
+    return u, (w0 + w1 * rho**3) / (math.expm1(3.0 * lam * dt) + (1.0 - E)) * x3
 
 
 def _run_sums(lam: float, dt: float, k: int, b1: float, b3: float) -> np.ndarray:
     """[[sum b1^2, sum b1 b3], [sum b1 b3, sum b3^2]] over k nodes of a run
-    on which b1 and b3 change by exp(lam dt) and exp(3 lam dt) per node,
-    anchored at the larger end: for lam > 0, (b1, b3) are the values at the
-    last of the k nodes and the terms shrink down from it; otherwise they
-    are the values at the node before the first and the terms shrink up
-    from it."""
+    with lam > 0, on which b1 and b3 change by exp(lam dt) and exp(3 lam dt)
+    per node, from (b1, b3), their values at the last of the k nodes."""
     def weight(p: float) -> float:
-        x = p * abs(lam) * dt
-        return 1.0 + _geometric_sum(x, k - 1) if lam > 0 else _geometric_sum(x, k)
+        return 1.0 + _geometric_sum(p * lam * dt, k - 1)
     d13 = b1 * b3 * weight(4.0)
     return np.array(((b1 * b1 * weight(2.0), d13), (d13, b3 * b3 * weight(6.0))))
+
+
+def _run_gram(lam: float, dt: float, k: int, b: float, u: float,
+              w: float) -> tuple[np.ndarray, np.ndarray]:
+    """[[sum b1^2, sum b1 b3], [sum b1 b3, sum b3^2]] over the k nodes after
+    a node of a run of b = C exp(lam t), from the pulse b and any state
+    (u, w) there, and the node vector s (below) on the last of the k nodes.
+
+    On the run the node vector s = (b, u, b^3, b^2 u, b u^2, w) advances by
+    one lower-triangular matrix A per node: the ETD recurrences of u, driven
+    by sqrt(2) b, and of w, driven by x3 = -2 sqrt(2) b u^2, written in s.
+    b1 = b - sqrt(2) u and b3 = -sqrt(2) w are rows L of s, so the sums are
+    L S L^T, S = sum over j = 1..k of A^j s s^T A^jT. Binary doubling forms
+    S and A^k in log2(k) steps, S_2m = S_m + A^m S_m A^mT and S_m+1 = S_m +
+    (A^m+1 s)(A^m+1 s)^T. The diagonal of each A^m is set to exp(m mu), mu
+    the logs of A's diagonal, instead of being squared up with rounding.
+    """
+    E, w0, w1 = _etd_weights(1.0, dt)
+    rho = math.exp(lam * dt)
+    c = math.sqrt(2.0) * (w0 + w1 * rho)       # u's step: u' = E u + c b
+    # w's step takes w1 x3 at the next node: x (c^2 b^3 + 2 E c b^2 u + E^2 b u^2)
+    x = -2.0 * math.sqrt(2.0) * w1 * rho
+    A = np.array(((rho, 0, 0, 0, 0, 0),
+                  (c, E, 0, 0, 0, 0),
+                  (0, 0, rho**3, 0, 0, 0),
+                  (0, 0, rho**2 * c, rho**2 * E, 0, 0),
+                  (0, 0, rho * c * c, 2.0 * rho * E * c, rho * E * E, 0),
+                  (0, 0, x * c * c, 2.0 * x * E * c, x * E * E - 2.0 * math.sqrt(2.0) * w0, E)))
+    mu = lam * dt * np.array((1.0, 0, 3, 2, 1, 0)) + math.log(E) * np.array((0.0, 1, 0, 1, 2, 1))
+    s = np.array((b, u, b**3, b * b * u, b * u * u, w))
+    power, total, m = np.eye(6), np.zeros((6, 6)), 0
+    diag = np.diag_indices(6)
+    for bit in format(k, "b").lstrip("0"):
+        total += power @ total @ power.T
+        power = power @ power
+        m *= 2
+        power[diag] = np.exp(m * mu)
+        if bit == "1":
+            power = A @ power
+            m += 1
+            power[diag] = np.exp(m * mu)
+            v = power @ s
+            total += np.outer(v, v)
+    L = np.array(((1.0, -math.sqrt(2.0), 0, 0, 0, 0), (0.0, 0, 0, 0, 0, -math.sqrt(2.0))))
+    return L @ total @ L.T, power @ s
 
 
 def _gauss_moment(p: np.ndarray, c: float) -> float:
@@ -312,7 +309,7 @@ def _zero_lead(shape: PulseShape, T: float, grid: TimeGrid) -> int:
     by the pulse's formula: the rectangular pulse's nodes before -T, out of
     _halve_on_jumps' reach, and the gaussian's where its exp underflows."""
     if shape is PulseShape.RECTANGULAR:
-        return _nodes_through(grid, -T - 1e-6 * grid.dt)
+        return _nodes_through(grid, -T - pulses._JUMP_REACH * grid.dt)
     if shape is PulseShape.GAUSSIAN:
         return _nodes_through(grid, -_GAUSS_ZERO * T)
     return 0
@@ -339,22 +336,22 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     rising exponential, the symmetric exponential's left side), the pulse
     has been on since t = -inf, and the chain is in its driven state from
     node 0 on (_driven_state): b1 and b3 go as exp(lam t) and exp(3 lam t),
-    the whole run enters as geometric sums from node 0, and stepping starts
-    from its last node. Otherwise the chain starts at rest, and the leading
-    nodes at which the pulse is exactly 0.0 (_zero_lead) would only add
-    exact zeros: the blocks start at the last multiple of BLOCK_NODES in
-    them, so the blocks that are stepped are the ones stepping from node 0
-    would step.
+    the whole run enters as geometric sums from node 0 (_run_sums), and
+    stepping starts from its last node. Otherwise the chain starts at rest,
+    and the leading nodes at which the pulse is exactly 0.0 (_zero_lead)
+    would only add exact zeros: the blocks start at the last multiple of
+    BLOCK_NODES in them, so the blocks that are stepped are the ones
+    stepping from node 0 would step.
 
-    Inside a later run (the rectangular plateau, the symmetric
-    exponential's right side) the state at each block end is checked: once
-    the transients left from the run's entry are below 2**-53 of the driven
-    part (_settling_nodes), the blocks step only to that node, the rest of
-    the run enters as geometric sums, and the state lands in its driven
-    state on the run's last node, from which stepping resumes. The pulse's
-    jumps and kink are always stepped. On the nodes past the window b1 and
-    b3 are their last window values times exp(-(t - t_last)), so those
-    nodes enter as the last node's closed-form trapezoid weight.
+    A later run (the rectangular plateau, the symmetric exponential's right
+    side) of at most BLOCK_NODES nodes is stepped with the blocks. A longer
+    one ends its block at its first node, and its other nodes enter
+    in closed form from the state there, transients and all (_run_gram),
+    which also gives the state on its last node, from which stepping
+    resumes. The pulse's jumps and kink are always stepped. On the nodes
+    past the window b1 and b3 are their last window values times
+    exp(-(t - t_last)), so those nodes enter as the last node's closed-form
+    trapezoid weight.
     """
     check_span(spec, grid)
     shape, T, dt = spec.shape, spec.duration, grid.dt
@@ -362,28 +359,31 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
     runs = [(lo, min(hi, n - 1), lam) for lo, hi, lam in _exponential_runs(shape, T, grid)]
     rt2 = math.sqrt(2.0)
 
-    def driven(node: int, lam: float):
-        """The node state and end pair of a settled run at `node`."""
-        b = float(_builtin_values(shape, T, grid.times(node, node + 1), dt)[0])
-        x1, u, x3, w = _driven_state(lam, dt, b)
-        return (x1, u, x3, w), np.array((u * -rt2 + b, w * -rt2))
+    def pulse_at(node: int) -> float:
+        return float(_builtin_values(shape, T, grid.times(node, node + 1), dt)[0])
+
+    def state_at(b: float, u: float, w: float):
+        """The node state and end pair where the pulse is b and the state (u, w)."""
+        return (rt2 * b, u, -2.0 * rt2 * b * (u * u), w), np.array((u * -rt2 + b, w * -rt2))
 
     gram = np.zeros((2, 2))
     if runs and runs[0][0] == 0:
         _, hi, lam = runs.pop(0)
-        first = driven(0, lam)[1]
-        state, end = driven(hi, lam)
+        b0, b_hi = pulse_at(0), pulse_at(hi)
+        first = state_at(b0, *_driven_state(lam, dt, b0))[1]
+        state, end = state_at(b_hi, *_driven_state(lam, dt, b_hi))
         gram += _run_sums(lam, dt, hi + 1, *end)
         a = hi + 1
     else:
         # at rest on node a, where the pulse is 0.0 if a > 0
         state = (None, 0.0, None, 0.0)
         a = max(_zero_lead(shape, T, grid) - 1, 0) // BLOCK_NODES * BLOCK_NODES
-        b0 = 0.0 if a else float(_builtin_values(shape, T, grid.times(0, 1), dt)[0])
-        first = end = np.array((b0, 0.0))
-    jump = None
+        first = end = np.array((pulse_at(0) if a == 0 else 0.0, 0.0))
     while a < n:
-        stop = min(a + BLOCK_NODES, n, n if jump is None else jump[0] + 1)
+        stop = min(a + BLOCK_NODES, n)
+        long_run = bool(runs) and runs[0][0] < stop and runs[0][1] - runs[0][0] >= BLOCK_NODES
+        if long_run:
+            stop = runs[0][0] + 1
         b = _builtin_values(shape, T, grid.times(a, stop), dt)
         x1 = rt2 * b
         u = decay_block(x1, 1.0, dt, *state[:2])
@@ -396,21 +396,15 @@ def _output_gram(spec: PulseSpec, grid: TimeGrid) -> np.ndarray:
         d13 = _dot(b1, b3)
         gram += ((_dot(b1, b1), d13), (d13, _dot(b3, b3)))
         state, end = (x1[-1], u[-1], x3[-1], w[-1]), np.array((b1[-1], b3[-1]))
-        a, e = stop, stop - 1
-        while runs and runs[0][1] <= e:
+        a = stop
+        while runs and runs[0][1] < stop:
             del runs[0]         # stepped through to its end
-        if jump is None and runs and runs[0][0] <= e:
-            _, hi, lam = runs[0]
-            k = _settling_nodes(lam, dt, float(b[-1]), float(u[-1]), float(w[-1]), hi - e)
-            if k is not None:
-                jump = (e + k, hi, lam)
-                del runs[0]
-        if jump is not None and jump[0] == e:
-            m, hi, lam = jump
-            # a later run has lam <= 0, so its sums are anchored at node m
-            gram += _run_sums(lam, dt, hi - m, *end)
-            state, end = driven(hi, lam)
-            a, jump = hi + 1, None
+        if long_run:
+            lo, hi, lam = runs.pop(0)
+            sums, s = _run_gram(lam, dt, hi - lo, float(b[-1]), float(u[-1]), float(w[-1]))
+            gram += sums
+            state, end = state_at(*s[[0, 1, 5]])
+            a = hi + 1
     # the last node's trapezoid weight, in units of dt, once the `tail`
     # nodes after it, where b1 and b3 relax as exp(-t), are summed in:
     # with q = exp(-2 dt), 1 + q + ... + q^(tail-1) + q^tail/2

@@ -24,7 +24,7 @@ from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
                        default_grid_for, drive_window, find_peak_c12,
                        inner_product, mode_shapes_at, norm_sq, run_point,
                        sample_pulse, solve_point, solve_spec, sweep)
-from pulsegate.pulses import _builtin_values
+from pulsegate.pulses import _builtin_values, _nodes_through
 
 import _oracles as orc
 
@@ -401,8 +401,8 @@ class TestStreamedSolve:
                                            ("rising-exp", 1000.0), ("sym-exp", 50.0),
                                            ("sym-exp", 1000.0)])
     def test_take_over_at_any_block_alignment(self, shape, gt, monkeypatch):
-        # at gamma_t = 1 no run is taken over; here each run is, from a block
-        # end that every block size puts somewhere else in the run
+        # here each run is summed in closed form from its first node, which
+        # every block size puts somewhere else in its block
         ref = run_point(shape, gt)
         spec = PulseSpec(PulseShape(shape), gt)
         n = drive_window(spec, default_grid_for(spec))
@@ -445,8 +445,8 @@ RUN_SHAPES = ["rect", "rising-exp", "sym-exp"]
 
 
 class TestExponentialRuns:
-    """`_output_gram` sums the settled stretches of the exponential runs in
-    closed form; `_oracles.stepped_output_gram` steps every node."""
+    """`_output_gram` sums the leading exponential runs and the long later
+    ones in closed form; `_oracles.stepped_output_gram` steps every node."""
 
     @staticmethod
     def check(shape, gt):
@@ -518,32 +518,57 @@ class TestExponentialRuns:
             return time.perf_counter() - t0
         assert min(seconds() for _ in range(5)) < 5e-3
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0 / 50, 1.0, 2.0 / 50, -2.0 / 10])
-    def test_settling_bound_holds_along_a_run(self, lam):
-        # from rest at node 0 the bound must cover the mismatch actually left
-        # at each later node j, so measuring it there can only bring the
-        # take-over node closer: j + k_j <= k_0. lam = 0 is the rect plateau,
-        # where u's transient resonates with w's decay; lam = 1 the rising
-        # exponential at T = 1, where u's squared transient does.
-        dt = 3e-3
-        b = np.exp(lam * dt * np.arange(4000))
-        u = bloch.decay_block(math.sqrt(2.0) * b, 1.0, dt)
-        w = bloch.decay_block(-2.0 * math.sqrt(2.0) * b * u * u, 1.0, dt)
-        k0 = sweep_module._settling_nodes(lam, dt, b[0], u[0], w[0], 10**9)
-        for j in range(100, 4000, 300):
-            kj = sweep_module._settling_nodes(lam, dt, b[j], u[j], w[j], 10**9)
-            assert j + kj <= k0, j
+    @pytest.mark.parametrize("gt", [1e-3, 1.0, 2.0, 6.0, 10.9, 1e4])
+    def test_sym_exp_samples_three_nodes(self, gt, monkeypatch):
+        # node 0 and the kink, the ends of the leading run, and the trailing
+        # run's first node, from which the rest of the window is summed
+        grid = default_grid_for(PulseSpec.symmetric_exponential(gt))
+        kink = _nodes_through(grid, 0.0) - 1
+        sampled = record_samples(monkeypatch)
+        run_point("sym-exp", gt)
+        want = grid.times(0, 1), grid.times(kink, kink + 2)
+        assert np.concatenate(sampled).tobytes() == np.concatenate(want).tobytes()
 
-    def test_unsettled_runs_are_stepped(self):
-        dt = 1.5e-3
-        # the symmetric exponential's trailing side at T <= 6 decays no
-        # faster than the dipole: its transients never fall behind
-        for T in (2.0, 6.0 - 1e-9, 6.0):
-            assert sweep_module._settling_nodes(-2.0 / T, dt, 1.0, 0.5, -0.1, 10**9) is None
-        # a state that is no number gives no bound
-        assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, math.inf, 10**9) is None
-        # a settling point past the run's end is no take-over
-        assert sweep_module._settling_nodes(0.0, dt, 1.0, 0.0, 0.0, 1000) is None
+    @pytest.mark.parametrize("gt", [10**-1.5, 1.0, 48.0])
+    def test_short_rect_plateau_is_stepped(self, gt):
+        # a plateau of at most BLOCK_NODES nodes is stepped with the blocks,
+        # bitwise as stepping every node, also where it straddles a block
+        # end (gamma_t = 10**-1.5: nodes 15828-16828)
+        spec = PulseSpec.rectangular(gt)
+        grid = default_grid_for(spec)
+        got = sweep_module._output_gram(spec, grid)
+        assert got.tobytes() == orc.stepped_output_gram(spec, grid).tobytes()
+
+    @pytest.mark.parametrize("gt", [100.0, 1e4])
+    def test_long_rect_samples_few_nodes(self, gt, monkeypatch):
+        # the lead pad to the plateau's first node and the nodes past its
+        # last; stepping the window samples 33k nodes at gamma_t = 100
+        sampled = record_samples(monkeypatch)
+        run_point("rect", gt)
+        assert sum(map(len, sampled)) < 1000
+
+    # lam = 0 is the rect plateau; lam = -2/T the symmetric exponential's
+    # trailing side, which resonates with the decay of u at T = 2 and of w
+    # at T = 6. k = 0 is a run clipped to the drive window's end.
+    @pytest.mark.parametrize("k", [0, 1, 2, 40000])
+    @pytest.mark.parametrize("T, lam", [(1.0, 0.0)] + [
+        (T, -2.0 / T) for T in (1e-3, 0.5, 2.0, 2 - 1e-9, 2 + 1e-9, 6 - 1e-9, 6 + 1e-9, 30.0, 1e4)])
+    def test_run_gram_matches_stepping(self, T, lam, k):
+        # from a state that is not the driven one: u and w arbitrary, and
+        # the drive x3 = -2 sqrt(2) b u^2 that the chain forms from them
+        rt2 = math.sqrt(2.0)
+        dt = min(T, 3.0) / 2000
+        b = 0.7 * np.exp(lam * dt * np.arange(k + 1))
+        u = bloch.decay_block(rt2 * b, 1.0, dt, s_prev=0.3)
+        w = bloch.decay_block(-2.0 * rt2 * b * u * u, 1.0, dt, s_prev=-0.2)
+        b1, b3 = b[1:] - rt2 * u[1:], -rt2 * w[1:]
+        want = np.array(((b1 @ b1, b1 @ b3), (b1 @ b3, b3 @ b3)))
+        got, s = sweep_module._run_gram(lam, dt, k, b[0], u[0], w[0])
+        # measured at most 1.2e-13 (lam = 0, k = 40000), the rounding of the
+        # stepped sums: against stepping in extended precision 2.8e-15
+        assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
+        landing = np.array((b[-1], u[-1], w[-1]))
+        assert np.abs(s[[0, 1, 5]] - landing).max() <= 2e-13 * np.abs(landing).max()
 
 
 class TestOverlapIdentity:
