@@ -195,6 +195,13 @@ def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
+def _steps(x: float) -> int:
+    """ceil(x) for a grid extent of x steps, refusing one too long to count."""
+    if x == math.inf:
+        raise ConfigError("the grid has too many steps to count; shorten lead_pad, tail or pulse")
+    return math.ceil(x)
+
+
 def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> TimeGrid:
     """Grid covering the pulse plus its decay tail, anchored so that the
     pulse discontinuities land at segment midpoints (see module docstring)."""
@@ -203,15 +210,15 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
     lo, hi = spec.support()
 
     if spec.shape is PulseShape.RECTANGULAR:
-        m = int(math.ceil(T / dt))           # in-pulse samples; edges mid-segment
+        m = _steps(T / dt)            # in-pulse samples; edges mid-segment
         dt = T / m
-        n_lead = int(math.ceil(policy.lead_pad / dt + 0.5))
-        n_tail = int(math.ceil(policy.tail / dt + 0.5))
+        n_lead = _steps(policy.lead_pad / dt + 0.5)
+        n_tail = _steps(policy.tail / dt + 0.5)
         t_start = -T - (n_lead - 0.5) * dt
         n = n_lead + m + n_tail
     elif spec.shape is PulseShape.CUSTOM:
         span = (hi + policy.tail) - (lo - policy.lead_pad)
-        n = int(math.ceil(span / dt)) + 1
+        n = _steps(span / dt) + 1
         t_start = lo - policy.lead_pad
         return make_grid(t_start, t_start + span, n)
     else:
@@ -219,8 +226,8 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
         # rising exponential's cutoff), on a node where it is a kink or a
         # centre (symmetric exponential, gaussian)
         h = 0.5 if spec.shape is PulseShape.RISING_EXP else 0.0
-        n_left = int(math.ceil((-lo + policy.lead_pad) / dt + h))
-        n_right = int(math.ceil((hi + policy.tail) / dt + h))
+        n_left = _steps((-lo + policy.lead_pad) / dt + h)
+        n_right = _steps((hi + policy.tail) / dt + h)
         t_start = -(n_left - h) * dt
         n = n_left + n_right + int(h == 0.0)     # and the node on t = 0, if any
 

@@ -32,6 +32,7 @@ nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import pulses
 from .bloch import SystemParams, _etd_weights, decay_block, solve_chain
@@ -75,9 +77,8 @@ _SERIES_TERMS = 16
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PEAK_PROBES = 13       # find_peak_c12's log-spaced probes across the bracket
-_PEAK_REL_TOL = 1e-3    # and the relative width in gamma_t its refinement ends at
+_PEAK_REL_TOL = 1e-3    # and its Brent refinement's xatol in log(gamma_t), log1p of this
 
 ShapeLike = Union[PulseShape, str]
 
@@ -152,7 +153,8 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
     ConfigError before anything is sampled. The chain starts at rest,
     except on a pulse that opens on an exponential run (the rising and the
     symmetric exponential), which has been on since t = -inf: there it
-    starts in that run's driven state."""
+    starts in that run's driven state. A gaussian is stepped at every gamma_t,
+    missing run_point's adiabatic value by the grid's error (README)."""
     grid = default_grid_for(spec, policy)
     if grid.n > WAVEFORM_NODE_BUDGET:
         raise ConfigError(
@@ -422,8 +424,8 @@ def run_point(shape: ShapeLike, gamma_t: float,
     drive window, so memory stays bounded over the whole gamma_t range.
 
     A gaussian at gamma_t >= _GAUSS_ADIABATIC_GT takes the adiabatic series
-    (_adiabatic_gram) and builds no grid, so that point does not depend on
-    the grid policy: it is the continuum value every policy converges to."""
+    (_adiabatic_gram) and builds no grid: it gets the continuum value every
+    policy converges to, which solve_spec's stepped grid misses by its error."""
     spec = _builtin_spec(_as_shape(shape), gamma_t)
     if spec.shape is PulseShape.GAUSSIAN and spec.duration >= _GAUSS_ADIABATIC_GT:
         gram = _adiabatic_gram(spec.duration)
@@ -487,43 +489,33 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0),
                   policy: GridPolicy = DEFAULT_POLICY) -> PeakResult:
     """Locate the c12_sq maximum inside the bracket.
 
-    A coarse log-spaced probe seeds a golden-section refinement on
-    log(gamma_t); if the probe maximum sits on a bracket edge there is no
-    interior peak and NoPeakError is raised.
+    A coarse log-spaced probe seeds scipy's bounded Brent search on
+    log(gamma_t), each duration solved once. A probe maximum on a bracket
+    edge (no interior peak) raises NoPeakError, an unconverged search SolverError.
     """
     shape = _as_shape(shape)
     lo, hi = bracket
     if not (0 < lo < hi):
         raise DurationRangeError(f"bad peak bracket ({lo}, {hi})")
 
-    def value(gt: float) -> float:
-        return run_point(shape, gt, policy).c12_sq
+    @functools.cache    # this search's rows by gamma_t: each is solved once
+    def row(gt: float) -> SweepRow:
+        return run_point(shape, gt, policy)
 
     probes = np.logspace(math.log10(lo), math.log10(hi), _PEAK_PROBES)
-    vals = [value(float(g)) for g in probes]
-    k = int(np.argmax(vals))
+    k = int(np.argmax([row(float(g)).c12_sq for g in probes]))
     if k == 0 or k == _PEAK_PROBES - 1:
         raise NoPeakError(
             f"c12_sq is maximal at the bracket edge gamma_t={probes[k]:g}; "
             "no interior peak to refine")
-
-    la, lb = math.log(probes[k - 1]), math.log(probes[k + 1])
-    lc = lb - _GOLDEN * (lb - la)
-    ld = la + _GOLDEN * (lb - la)
-    fc, fd = value(math.exp(lc)), value(math.exp(ld))
-    while lb - la > math.log1p(_PEAK_REL_TOL):
-        if fc > fd:
-            lb, ld, fd = ld, lc, fc
-            lc = lb - _GOLDEN * (lb - la)
-            fc = value(math.exp(lc))
-        else:
-            la, lc, fc = lc, ld, fd
-            ld = la + _GOLDEN * (lb - la)
-            fd = value(math.exp(ld))
-    gt_star = math.exp(0.5 * (la + lb))
-    row = run_point(shape, gt_star, policy)
-    return PeakResult(shape=shape, gamma_t_star=gt_star, c12_sq_star=row.c12_sq,
-                      c11_at_peak=complex(row.c11_re, row.c11_im))
+    res = minimize_scalar(lambda lg: -row(math.exp(lg)).c12_sq, method="bounded",
+                          bounds=(math.log(probes[k - 1]), math.log(probes[k + 1])),
+                          options={"xatol": math.log1p(_PEAK_REL_TOL)})
+    if not res.success:
+        raise SolverError(f"the c12_sq peak search did not converge: {res.message}")
+    best = row(math.exp(res.x))
+    return PeakResult(shape=shape, gamma_t_star=best.gamma_t, c12_sq_star=best.c12_sq,
+                      c11_at_peak=complex(best.c11_re, best.c11_im))
 
 
 def mode_shapes_at(shape: ShapeLike, gamma_t: float,

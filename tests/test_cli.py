@@ -356,6 +356,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: boom\n"
 
 
+class TestHugeGridExtent:
+    @pytest.mark.parametrize("flag", ["--tail", "--lead-pad"])
+    @pytest.mark.parametrize("cmd", [("sweep",), ("peak",), ("respond", "--gamma-t", "1")])
+    def test_exits_2_before_writing(self, cmd, flag, tmp_path, capsys):
+        # finite, but more grid steps than a float can count
+        assert run(*cmd, "--shape", "rect", flag, "1e308", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParser:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -148,6 +148,17 @@ class TestGrids:
         with pytest.raises(ConfigError, match="must be finite"):
             GridPolicy(**{field: value}).step_for(1.0)
 
+    @pytest.mark.parametrize("field", ["tail", "lead_pad"])
+    @pytest.mark.parametrize("spec", [PulseSpec.rectangular(1.0), PulseSpec.rising_exponential(1.0),
+                                      PulseSpec.symmetric_exponential(1.0), PulseSpec.gaussian(1.0),
+                                      PulseSpec.custom([0.0, 1.0], [1.0, 1.0])],
+                             ids=lambda spec: spec.shape.value)
+    def test_uncountable_extent_rejected(self, field, spec):
+        # finite, but 1e308 / dt steps overflow to inf
+        from pulsegate import ConfigError
+        with pytest.raises(ConfigError, match="too many steps"):
+            default_grid_for(spec, GridPolicy(**{field: 1e308}))
+
     def test_bad_duration_rejected(self):
         from pulsegate import ConfigError
         with pytest.raises(ConfigError):

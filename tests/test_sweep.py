@@ -124,6 +124,29 @@ class TestSweep:
             assert r.overlap_re <= 1e-8
 
 
+def tight_peak(shape, bracket=(0.3, 3.0), xtol=1e-8):
+    """(gamma_t, c12_sq) at the maximum of run_point's c12_sq in the bracket,
+    by a golden-section search on log(gamma_t) narrowed to xtol: a reference
+    that shares no code with find_peak_c12's search and is far tighter."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(lg):
+        return run_point(shape, math.exp(lg)).c12_sq
+    a, b = map(math.log, bracket)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (math.exp(c), fc) if fc > fd else (math.exp(d), fd)
+
+
 class TestFindPeak:
     @pytest.mark.parametrize("shape", list(PEAKS))
     def test_peak_table(self, shape):
@@ -144,6 +167,35 @@ class TestFindPeak:
         res = find_peak_c12("rect")
         for factor in (0.98, 1.02):
             assert run_point("rect", res.gamma_t_star * factor).c12_sq <= res.c12_sq_star + 1e-9
+
+    @pytest.mark.parametrize("shape", list(PEAKS))
+    def test_peak_matches_a_tight_reference(self, shape):
+        res = find_peak_c12(shape)
+        gt_ref, c12_ref = tight_peak(shape)
+        assert res.gamma_t_star == pytest.approx(gt_ref, rel=5e-4)
+        assert res.c12_sq_star == pytest.approx(c12_ref, abs=1e-7)
+
+    @pytest.mark.parametrize("shape", list(PEAKS))
+    def test_each_duration_is_solved_once(self, shape, monkeypatch):
+        solved = []
+
+        def recording(name, gamma_t, policy):
+            solved.append(gamma_t)
+            return run_point(name, gamma_t, policy)
+        monkeypatch.setattr(sweep_module, "run_point", recording)
+        res = find_peak_c12(shape)
+        assert len(solved) <= 24
+        assert len(set(solved)) == len(solved)
+        assert res.gamma_t_star in solved
+
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        minimize_scalar = sweep_module.minimize_scalar
+
+        def capped(fun, **kwargs):
+            return minimize_scalar(fun, **{**kwargs, "options": {"maxiter": 3}})
+        monkeypatch.setattr(sweep_module, "minimize_scalar", capped)
+        with pytest.raises(SolverError, match="did not converge"):
+            find_peak_c12("rect", policy=FAST)
 
     def test_final_evaluation_is_the_amplitude_path(self, monkeypatch):
         def no_waveforms(*args, **kwargs):
