@@ -130,6 +130,7 @@ def _waveform_columns(sol: PointSolution, signals, stride: int) -> list:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The waveform grid of respond and modes; sweep and peak build none."""
     p.add_argument("--points-per-unit", type=int, default=DEFAULT_POLICY.samples_per_unit,
                    help="samples per min(T, 3/Gamma) of pulse duration "
                         f"(default {DEFAULT_POLICY.samples_per_unit})")
@@ -219,8 +220,7 @@ def cmd_respond(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows = sweep(args.shape, args.gt_min, args.gt_max, args.num,
-                 log_spaced=not args.linear, policy=_policy_from(args),
-                 workers=max(1, args.workers))
+                 log_spaced=not args.linear, workers=max(1, args.workers))
     out = Path(args.out) if args.out else Path(f"sweep_{args.shape}.csv")
     _write_atomic(out, _csv(SWEEP_HEADER, [[getattr(r, name) for r in rows]
                                            for name in SWEEP_HEADER.split(",")]))
@@ -229,8 +229,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_peak(args) -> int:
-    res = find_peak_c12(args.shape, (args.gt_min, args.gt_max),
-                        policy=_policy_from(args))
+    res = find_peak_c12(args.shape, (args.gt_min, args.gt_max))
     record = {"shape": res.shape.value,
               "gamma_t_star": res.gamma_t_star,
               "c12_sq_star": res.c12_sq_star,
@@ -270,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write every N-th sample of the waveforms")
     p.set_defaults(func=cmd_respond)
 
-    p = sub.add_parser("sweep", help="duration sweep to CSV")
+    p = sub.add_parser("sweep", help="duration sweep to CSV",
+                       description="Amplitudes of the continuum outputs over a range of "
+                                   "durations; no grid is built, so no grid flags apply.")
     p.add_argument("--shape", required=True, choices=BUILTIN_SHAPES)
     p.add_argument("--from", dest="gt_min", type=float, default=DEFAULT_SWEEP_RANGE[0],
                    help=f"smallest gamma_t (default {DEFAULT_SWEEP_RANGE[0]})")
@@ -282,17 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="evaluate sweep points in this many processes; "
                         "output is identical regardless (default 1)")
-    _add_grid_flags(p)
     p.add_argument("--out", help="CSV path (default sweep_<shape>.csv)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("peak", help="refine the c12_sq maximum")
+    p = sub.add_parser("peak", help="refine the c12_sq maximum",
+                       description="The c12_sq maximum of the continuum amplitudes; no "
+                                   "grid is built, so no grid flags apply.")
     p.add_argument("--shape", required=True, choices=BUILTIN_SHAPES)
     p.add_argument("--from", dest="gt_min", type=float, default=0.1,
                    help="bracket lower edge (default 0.1)")
     p.add_argument("--to", dest="gt_max", type=float, default=20.0,
                    help="bracket upper edge (default 20)")
-    _add_grid_flags(p)
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_peak)
 

@@ -45,7 +45,7 @@ GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
 SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
 GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
 # _halve_on_jumps halves the nodes closer than this many steps dt to a
-# jump; _exponential_runs and sweep._zero_lead keep clear of the same reach
+# jump; _exponential_runs keeps clear of the same reach
 _JUMP_REACH = 1e-6
 
 
@@ -253,25 +253,37 @@ def drive_window(spec: PulseSpec, grid: TimeGrid) -> int:
     return min(max(_nodes_through(grid, spec.drive_end()) + 1, 2), grid.n)
 
 
+def _piece_values(shape: PulseShape, T: float, t: np.ndarray) -> np.ndarray:
+    """A built-in pulse's defining formula at the times t (an array of any
+    shape) inside one of its smooth pieces, between its breakpoints: the
+    rectangular plateau, the rising exponential before its cutoff, either
+    side of the symmetric exponential's kink, the whole gaussian."""
+    if shape is PulseShape.RECTANGULAR:
+        return np.full(np.shape(t), 1.0 / math.sqrt(T))
+    if shape is PulseShape.RISING_EXP:
+        return math.sqrt(2.0 / T) * np.exp(t / T)
+    if shape is PulseShape.SYM_EXP:
+        return math.sqrt(2.0 / T) * np.exp(-2.0 * np.abs(t) / T)
+    if shape is PulseShape.GAUSSIAN:
+        return math.sqrt(2.0 / (math.sqrt(math.pi) * T)) * np.exp(-2.0 * t**2 / T**2)
+    raise ValueError(shape)
+
+
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
     """Built-in pulse sampled at the ascending times t (any run of a grid's
     nodes, step dt). The jumps of the rectangular and rising-exponential
     pulses are located by binary search, which needs t ascending."""
     if shape is PulseShape.RECTANGULAR:
         v = np.zeros(len(t))
-        v[np.searchsorted(t, -T, "right"):np.searchsorted(t, 0.0)] = 1.0 / math.sqrt(T)
+        lo, hi = np.searchsorted(t, -T, "right"), np.searchsorted(t, 0.0)
+        v[lo:hi] = _piece_values(shape, T, t[lo:hi])
         return _halve_on_jumps(v, t, dt, (-T, 0.0), 0.5 / math.sqrt(T))
     if shape is PulseShape.RISING_EXP:
-        amp = math.sqrt(2.0 / T)
         v = np.zeros(len(t))
         i0 = np.searchsorted(t, 0.0)
-        v[:i0] = amp * np.exp(t[:i0] / T)
-        return _halve_on_jumps(v, t, dt, (0.0,), 0.5 * amp)
-    if shape is PulseShape.SYM_EXP:
-        return math.sqrt(2.0 / T) * np.exp(-2.0 * np.abs(t) / T)
-    if shape is PulseShape.GAUSSIAN:
-        return math.sqrt(2.0 / (math.sqrt(math.pi) * T)) * np.exp(-2.0 * t**2 / T**2)
-    raise ValueError(shape)
+        v[:i0] = _piece_values(shape, T, t[:i0])
+        return _halve_on_jumps(v, t, dt, (0.0,), 0.5 * math.sqrt(2.0 / T))
+    return _piece_values(shape, T, t)
 
 
 def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float) -> np.ndarray:

@@ -8,7 +8,6 @@ plain trapezoid rule over every node of a grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,18 +91,6 @@ def _dot(a: np.ndarray, b: np.ndarray):
 def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-
-
-def _geometric_sum(x: float, m: int) -> float:
-    """exp(-x) + exp(-2x) + ... + exp(-m x) for x >= 0: the weight, in units
-    of the first node's value, of m nodes of a product that changes by
-    exp(-x) per node. It serves the free-decay ringdown after the drive
-    window and the exponential runs inside it."""
-    if x == 0.0:
-        return float(m)
-    # q (1 - q^m) / (1 - q), q = exp(-x), through expm1, which keeps
-    # precision as x -> 0
-    return math.exp(-x) * math.expm1(-x * m) / math.expm1(-x)
 
 
 def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:

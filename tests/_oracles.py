@@ -2,15 +2,16 @@
 
 Everything here was derived by hand integration of the driven relaxation
 equations (and double-checked symbolically); none of it goes through the
-package's integrators, so agreement is a genuine cross-check. Three
-exceptions are plain copies of faster package code, kept as references:
+package's integrators, so agreement is a genuine cross-check. The
+exceptions are kept as references for faster package code:
 `rk4_full_bloch`, the step-by-step RK4 oracle that `pulsegate.full_bloch`
-is checked against, `stepped_output_gram`, the streamed Gram matrix with
-every drive-window node stepped (from rest, over a long lead-in for the
-pulses that have been on since t = -inf), that the closed-form
-exponential runs of `pulsegate.sweep._output_gram` are checked against,
-and `csv_text`, the one-value-at-a-time CSV formatter that the CLI's
-block writer is checked against.
+is checked against; `stepped_output_gram`, the Gram matrix of the outputs
+with every drive-window node stepped (from rest, over a long lead-in for
+the pulses that have been on since t = -inf), whose Richardson value,
+with `continuum_lead`, judges `pulsegate.sweep.run_point`'s continuum
+amplitudes; `adiabatic_gram`, the gaussian's adiabatic series, which
+judges them from gamma_t = 100 on; and `csv_text`, the one-value-at-a-time
+CSV formatter that the CLI's block writer is checked against.
 
 Conventions: Gamma = 1, times in 1/Gamma.
 """
@@ -20,10 +21,10 @@ import math
 import numpy as np
 
 from pulsegate.bloch import FullBlochState, SystemParams, decay_block
-from pulsegate.errors import StepInstabilityError
-from pulsegate.pulses import PulseShape, _builtin_values, check_span, drive_window
-from pulsegate.signal import ComplexSignal, _dot, _geometric_sum, require_finite
-from pulsegate.sweep import BLOCK_NODES
+from pulsegate.errors import SolverError, StepInstabilityError
+from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, check_span,
+                              default_grid_for, drive_window)
+from pulsegate.signal import ComplexSignal, _dot, require_finite
 
 SQ2 = np.sqrt(2.0)
 
@@ -46,6 +47,22 @@ def rect_sigma3_unit(t):
     inside = -4j * SQ2 * (1 - np.exp(-2 * u) - 2 * u * np.exp(-u))
     at_zero = -4j * SQ2 * (1 - np.exp(-2.0) - 2 * np.exp(-1.0))
     return np.where(t <= -1, 0.0, np.where(t < 0, inside, at_zero * np.exp(-np.maximum(t, 0.0))))
+
+
+def rect_overlap(T):
+    """<b1|b3> = 4 (11 - 6T - 18 e^-T + 9 e^-2T - 2 e^-3T) / (3 T^2), with
+    ||b1|| = 1. The bracket cancels as T^4, so in float64 it holds 1e-14 only
+    from T = 1 on."""
+    e = np.exp(-T)
+    return 4.0 * (11.0 - 6.0 * T - 18.0 * e + 9.0 * e**2 - 2.0 * e**3) / (3.0 * T**2)
+
+
+def rect_b3_norm_sq(T):
+    """||b3||^2 = 16 (36T - 101 + e^-T (72T + 144) - e^-2T (72T + 36)
+    + e^-3T (24T - 16) + 9 e^-4T) / (9 T^3), in float64 from T = 1 on."""
+    e = np.exp(-T)
+    return 16.0 * (36.0 * T - 101.0 + e * (72.0 * T + 144.0) - e**2 * (72.0 * T + 36.0)
+                   + e**3 * (24.0 * T - 16.0) + 9.0 * e**4) / (9.0 * T**3)
 
 
 # -- rising exponential, amplitude sqrt(2/T) e^{t/T} for t < 0 --------------
@@ -81,11 +98,15 @@ def rising_overlap(T):
     return -8.0 * T**2 / (1 + T) ** 3
 
 
+def rising_b3_norm_sq(T):
+    """||b3||^2 = 256 T^3 / (3 (T+1)^4 (3+T))."""
+    return 256 * T**3 / (3 * (T + 1) ** 4 * (3 + T))
+
+
 def rising_c12_sq(T):
     """Photon-transfer probability along the rising-exponential family;
     maximal at exactly T = 1 with value 2/3."""
-    nb3 = 256 * T**3 / (3 * (T + 1) ** 4 * (3 + T))
-    return 2 * (nb3 - rising_overlap(T) ** 2)
+    return 2 * (rising_b3_norm_sq(T) - rising_overlap(T) ** 2)
 
 
 def rising_psi2_unit(t):
@@ -144,12 +165,26 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
     return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
 
 
-# -- the streamed Gram matrix with every drive-window node stepped -----------
+# -- the Gram matrix with every drive-window node stepped -------------------
 
+# Nodes per block of stepped_output_gram: the dozen block-long arrays alive
+# at once stay in cache, whatever the grid's length.
+BLOCK_NODES = 16384
 # Time units, times 1 / (1 + lam), that the chain is stepped from rest before a
 # grid that opens on an exponential e^{lam t}: its transient is then below
 # e^-40 = 4e-18 of the driven part, under 2**-53.
 LEAD_IN = 40.0
+
+
+def geometric_sum(x, m):
+    """exp(-x) + exp(-2x) + ... + exp(-m x) for x >= 0: the weight, in units
+    of the first node's value, of m nodes of a product that changes by
+    exp(-x) per node, such as the free-decay ringdown after a drive window."""
+    if x == 0.0:
+        return float(m)
+    # q (1 - q^m) / (1 - q), q = exp(-x), through expm1, which keeps
+    # precision as x -> 0
+    return math.exp(-x) * math.expm1(-x * m) / math.expm1(-x)
 
 
 def _leading_rate(spec):
@@ -161,15 +196,17 @@ def _leading_rate(spec):
 
 
 def stepped_output_gram(spec, grid):
-    """`pulsegate.sweep._output_gram` with every drive-window node stepped
-    block by block, only the free-decay ringdown past it in closed form (its
-    weight written through `_geometric_sum`).
+    """Trapezoid Gram matrix [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]] of the
+    outputs of a built-in pulse on `grid`, with every drive-window node
+    stepped block by block by the ETD recurrence and only the free-decay
+    ringdown past it in closed form (its weight through `geometric_sum`).
 
     A pulse that has been on since t = -inf is stepped from rest over
     LEAD_IN / (1 + lam) more time units before the grid, on the nodes
     t_start - j dt, so the chain reaches the grid's first node in its
-    driven state; only the grid's nodes enter the sums. Other pulses are
-    stepped from rest on the grid's first node."""
+    driven state; only the grid's nodes enter the sums, and
+    `continuum_lead` is what they leave out. Other pulses are stepped from
+    rest on the grid's first node."""
     check_span(spec, grid)
     dt = grid.dt
     n = drive_window(spec, grid)
@@ -203,11 +240,130 @@ def stepped_output_gram(spec, grid):
             first = np.array((b1[0], b3[0]))
     last = np.array((b1[-1], b3[-1]))
     x, m = 2.0 * dt, grid.n - n
-    last_weight = 1.0 + _geometric_sum(x, m) - 0.5 * math.exp(-x * m)
+    last_weight = 1.0 + geometric_sum(x, m) - 0.5 * math.exp(-x * m)
     gram -= 0.5 * np.outer(first, first) + (1.0 - last_weight) * np.outer(last, last)
     gram *= dt
     require_finite(gram)
     return gram
+
+
+def continuum_lead(spec, t_start):
+    """The Gram entries of the continuum outputs before t_start, where a
+    pulse on since t = -inf drives the dipole in its driven state
+    u = sqrt(2) b / (1 + lam), w = x3 / (1 + 3 lam), x3 = -2 sqrt(2) b u^2:
+    b1 = b - sqrt(2) u and b3 = -sqrt(2) w go as e^{lam t} and e^{3 lam t},
+    so the integrals are b1^2 / (2 lam), b1 b3 / (4 lam) and b3^2 / (6 lam)
+    at t_start. Zero for the pulses that start at rest. Added to
+    `stepped_output_gram`, whose grid starts at -6T - lead_pad, it restores
+    the weight of the sym-exp lead, e^-24 of the pulse."""
+    lam = _leading_rate(spec)
+    if lam is None:
+        return np.zeros((2, 2))
+    b = float(_builtin_values(spec.shape, spec.duration, np.array([t_start]), 1.0)[0])
+    u = SQ2 * b / (1.0 + lam)
+    w = -2.0 * SQ2 * b * u * u / (1.0 + 3.0 * lam)
+    end = np.array((b - SQ2 * u, -SQ2 * w))
+    return np.outer(end, end) / (lam * np.array(((2.0, 4.0), (4.0, 6.0))))
+
+
+# -- the gaussian's adiabatic series, for gamma_t >= 100 ---------------------
+
+# A series is summed once its next term is below the rounding of its sum,
+# which from gamma_t = 100 on takes at most SERIES_TERMS terms
+SETTLED = 2.0**-53
+SERIES_TERMS = 16
+
+
+def gauss_moment(p, c):
+    """Integral over the real line of p(s) exp(-c s^2), p by ascending
+    coefficients: sum over even j of p_j G((j+1)/2) / c^((j+1)/2)."""
+    even = p[::2]
+    ratios = np.arange(1.0, 2.0 * len(even) - 1.0, 2.0) / (2.0 * c)
+    return float(even @ np.cumprod(np.r_[math.sqrt(math.pi / c), ratios]))
+
+
+def adiabatic_series(p, a, T):
+    """The response y of y' = -y + x, t = T s, to the slow drive
+    x = p(s) exp(-a s^2): sum over k of (-1/T)^k d^k x / ds^k, returned as the
+    polynomial factor of exp(-a s^2). Terms are added until the next one is
+    at most 2**-53 of the sum in L2 norm; SolverError if that takes more
+    than SERIES_TERMS terms."""
+    total = term = p
+    for _ in range(SERIES_TERMS):
+        # d/ds [q exp(-a s^2)] = (q' - 2 a s q) exp(-a s^2)
+        term = (np.r_[term[1:] * np.arange(1, len(term)), 0.0, 0.0]
+                - 2.0 * a * np.r_[0.0, term]) / -T
+        if (gauss_moment(np.convolve(term, term), 2.0 * a)
+                <= SETTLED**2 * gauss_moment(np.convolve(total, total), 2.0 * a)):
+            return total
+        total = np.append(total, 0.0) + term
+    raise SolverError(f"the adiabatic series at gamma_t={T:g} has not settled "
+                      f"within {SERIES_TERMS} terms")
+
+
+def adiabatic_gram(T):
+    """The Gram matrix of the gaussian pulse of duration T's outputs, in
+    the continuum, by the adiabatic series: exact up to the series' own
+    2**-53 from T = 100 on.
+
+    In s = t/T every function is a polynomial times a gaussian: the pulse b
+    and u = sqrt(2) sum_k (-1/T)^k d^k b / ds^k (so b1 = b - sqrt(2) u) go
+    as exp(-2 s^2), the drive x3 = -2 sqrt(2) b u^2 and its response w
+    (so b3 = -sqrt(2) w) as exp(-6 s^2). The Gram entries are then moments
+    of exp(-4 s^2), exp(-8 s^2) and exp(-12 s^2), times T = dt/ds.
+    """
+    amp = math.sqrt(2.0 / (math.sqrt(math.pi) * T))    # pulses._piece_values' gaussian
+    u = adiabatic_series(np.array([SQ2 * amp]), 2.0, T)
+    w = adiabatic_series(-2.0 * SQ2 * amp * np.convolve(u, u), 6.0, T)
+    b1 = u * -SQ2
+    b1[0] += amp
+    b3 = w * -SQ2
+    d13 = gauss_moment(np.convolve(b1, b3), 8.0)
+    return T * np.array(((gauss_moment(np.convolve(b1, b1), 4.0), d13),
+                         (d13, gauss_moment(np.convolve(b3, b3), 12.0))))
+
+
+# -- the judges of the continuum Gram matrix ----------------------------------
+
+def richardson_gram(spec, samples_per_unit=None):
+    """(r^2 G(dt / r) - G(dt)) / (r^2 - 1) of `stepped_output_gram` plus
+    `continuum_lead` on the default grids of samples_per_unit and twice as
+    many, whose second-order error it cancels; r is the ratio of their
+    steps, 2 but for the rectangular pulse, whose step fits a whole number
+    of steps into T. By default 1,000 samples per unit, and from T = 100 on
+    fewer, 1e5 / T but at least 20, where the pulse is slow and the error
+    small. The grids' tail reaches 20 past the drive's end, not the
+    support's: the symmetric exponential's default grid ends at 6T + 20
+    and leaves out up to 2e-11 of its norm."""
+    T = spec.duration
+    if samples_per_unit is None:
+        samples_per_unit = int(min(1000.0, max(20.0, 1e5 / T)))
+    tail = spec.drive_end() - spec.support()[1] + 20.0
+    grams, steps = [], []
+    for n in (samples_per_unit, 2 * samples_per_unit):
+        grid = default_grid_for(spec, GridPolicy(samples_per_unit=n, tail=tail))
+        grams.append(stepped_output_gram(spec, grid) + continuum_lead(spec, grid.t_start))
+        steps.append(grid.dt)
+    r2 = (steps[0] / steps[1]) ** 2
+    return (r2 * grams[1] - grams[0]) / (r2 - 1.0)
+
+
+def judge_gram(spec):
+    """The Gram matrix of a built-in pulse's continuum outputs, from its
+    judge at the duration T: the closed forms of the rising exponential,
+    and of the rectangular pulse from T = 1 on; the gaussian's adiabatic
+    series from T = 100 on; elsewhere `richardson_gram`, whose own error is
+    up to about 8e-13."""
+    T = spec.duration
+    if spec.shape is PulseShape.RISING_EXP:
+        ov, nb3 = rising_overlap(T), rising_b3_norm_sq(T)
+    elif spec.shape is PulseShape.RECTANGULAR and T >= 1.0:
+        ov, nb3 = rect_overlap(T), rect_b3_norm_sq(T)
+    elif spec.shape is PulseShape.GAUSSIAN and T >= 100.0:
+        return adiabatic_gram(T)
+    else:
+        return richardson_gram(spec)
+    return np.array(((1.0, ov), (ov, nb3)))
 
 
 # -- CLI file format --------------------------------------------------------

@@ -1,8 +1,8 @@
 """Acceptance suite: every numbered criterion, printed pass/fail per item.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the measurement
-lines. The expensive fixtures (full default sweeps at both the default
-and the halved grid step) are computed once per session and shared.
+lines. The expensive fixtures (full default sweeps on the default grid
+and of the continuum amplitudes) are computed once per session and shared.
 
 Two reference points encoded in criterion 1 are not attainable from the
 defining pulse formulas (see the assertion messages and README): the
@@ -25,8 +25,6 @@ import _oracles as orc
 
 SHAPES = ["rect", "rising-exp", "sym-exp", "gauss"]
 
-HALVED = pg.GridPolicy(samples_per_unit=2000)
-
 # criterion 1 reference table: shape -> (gamma_t*, tol_rel, c12_sq*, tol_abs)
 PEAK_TABLE = {
     "rect":       (1.56, 0.05, 0.66, 0.01),
@@ -46,10 +44,6 @@ def _audit_point(task):
     return (gt, d.c11, d.c12_sq, d.cr_sq, d.overlap, n1, orth)
 
 
-def _halved_point(task):
-    shape, gt = task
-    r = pg.run_point(shape, gt, HALVED)
-    return (r.c11_sq, r.c12_sq, r.cr_sq)
 
 
 @pytest.fixture(scope="session")
@@ -63,13 +57,10 @@ def default_audit():
 
 
 @pytest.fixture(scope="session")
-def halved_rows():
-    gts = sweep_durations(*DEFAULT_SWEEP_RANGE, DEFAULT_SWEEP_POINTS)
-    out = {}
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        for shape in SHAPES:
-            out[shape] = list(pool.map(_halved_point, [(shape, float(g)) for g in gts]))
-    return out
+def continuum_rows():
+    # run_point's continuum amplitudes, which build no grid: the limit the
+    # default grid's values converge to
+    return {shape: [(r.c11_sq, r.c12_sq, r.cr_sq) for r in pg.sweep(shape)] for shape in SHAPES}
 
 
 @pytest.fixture(scope="session")
@@ -260,12 +251,14 @@ def test_criterion_9_long_pulse_reflection():
 # -- criterion 10: grid convergence -------------------------------------------
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_criterion_10_convergence(default_audit, halved_rows, shape):
+def test_criterion_10_convergence(default_audit, continuum_rows, shape):
+    # the default grid against the continuum it converges to: an error
+    # bound for the grid, where halving dt bounds it by the shift
     worst = 0.0
     for (gt, c11, c12_sq, cr_sq, *_), (h11, h12, hcr) in zip(
-            default_audit[shape], halved_rows[shape]):
+            default_audit[shape], continuum_rows[shape]):
         worst = max(worst, abs(abs(c11) ** 2 - h11), abs(c12_sq - h12),
                     abs(cr_sq - hcr))
-    print(f"criterion 10 [{shape}]: max |C_i|^2 shift on halving dt = "
-          f"{worst:.2e} (< 1e-4)")
+    print(f"criterion 10 [{shape}]: max |C_i|^2 gap, default grid against "
+          f"continuum = {worst:.2e} (< 1e-4)")
     assert worst < 1e-4

@@ -9,7 +9,6 @@ from pulsegate import (GridPolicy, PulseFileError, PulseShape, PulseSpec,
                        make_grid, norm_sq, sample_pulse)
 from pulsegate import pulses
 from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values, _exponential_runs
-from pulsegate.sweep import _zero_lead
 
 ALL_BUILTINS = [PulseSpec.rectangular, PulseSpec.rising_exponential,
                 PulseSpec.symmetric_exponential, PulseSpec.gaussian]
@@ -258,10 +257,10 @@ class TestExponentialRuns:
             assert len(runs) == 1
 
     @pytest.mark.parametrize("T, dt, t0", TestJumpSearch.GRIDS)
-    def test_halved_nodes_stay_out_of_runs_and_zero_lead(self, T, dt, t0, monkeypatch):
+    def test_halved_nodes_stay_out_of_runs(self, T, dt, t0, monkeypatch):
         # a wider reach of _halve_on_jumps, which on the 1.557 grid halves
         # the nodes 0.35 dt from both jumps: no halved node may fall inside
-        # a run or inside the rectangular pulse's skipped zero lead
+        # a run
         monkeypatch.setattr(pulses, "_JUMP_REACH", 0.4)
         n = int((T + 2 - t0) / dt) + 3
         grid = make_grid(t0, t0 + dt * (n - 1), n)
@@ -270,8 +269,6 @@ class TestExponentialRuns:
             halved = np.flatnonzero(_builtin_values(shape, T, grid.times(), grid.dt) == 0.5 * amp)
             for lo, hi, _ in _exponential_runs(shape, T, grid):
                 assert not np.any((lo <= halved) & (halved <= hi)), (shape, lo, hi, halved)
-            if shape is PulseShape.RECTANGULAR:
-                assert np.all(halved >= _zero_lead(shape, T, grid)), halved
 
     @pytest.mark.parametrize("spec", [PulseSpec.gaussian(2.0),
                                       PulseSpec.custom(np.linspace(-1, 1, 5), np.ones(5))])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pulsegate import (ComplexSignal, GridMismatchError, InvalidRangeError,
                        PulseSpec, default_grid_for, inner_product, make_grid,
                        norm_sq, sample_pulse)
-from pulsegate.signal import _geometric_sum
+from _oracles import geometric_sum
 
 
 def signal_on(grid, fn):
@@ -154,12 +154,12 @@ class TestNormSq:
 
 class TestFreeDecayTail:
     """The closed-form weight of m free-decay nodes after a node, through
-    the geometric sum that the exponential runs use too."""
+    the geometric sum of `_oracles.stepped_output_gram`'s ringdown."""
 
     @staticmethod
     def tail_weight(m, dt):
         x = 2.0 * dt
-        return 1.0 + _geometric_sum(x, m) - 0.5 * np.exp(-x * m)
+        return 1.0 + geometric_sum(x, m) - 0.5 * np.exp(-x * m)
 
     @pytest.mark.parametrize("m", [0, 1, 100_000])
     def test_matches_filled_trapezoid(self, m):
@@ -170,10 +170,10 @@ class TestFreeDecayTail:
             q = np.exp(-2.0 * dt * np.arange(m + 1))
             want = q[:-1].sum() + 0.5 * q[-1]
             assert abs(self.tail_weight(m, dt) - want) <= 1e-13 * want, dt
-            assert abs(_geometric_sum(2.0 * dt, m) - q[1:].sum()) <= 1e-13 * want, dt
+            assert abs(geometric_sum(2.0 * dt, m) - q[1:].sum()) <= 1e-13 * want, dt
         assert self.tail_weight(0, 1e-3) == 0.5
         # no decay: m nodes of weight 1
-        assert _geometric_sum(0.0, m) == m
+        assert geometric_sum(0.0, m) == m
 
     def test_tail_stops_at_grid_end(self):
         # unit samples on [0, 1], then a tail decaying as e^-(t - 1) for 500
