@@ -23,13 +23,14 @@ from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
                        default_grid_for, drive_window, find_peak_c12,
                        inner_product, mode_shapes_at, norm_sq, run_point,
                        sample_pulse, solve_point, solve_spec, sweep)
-from pulsegate.pulses import _piece_values
+from pulsegate.pulses import _builtin_values, _piece_values
 from pulsegate.sweep import _PANEL_DEGREE
 
 import _oracles as orc
 
 # the package re-exports the sweep() function under the submodule's name
 sweep_module = importlib.import_module("pulsegate.sweep")
+pulses_module = importlib.import_module("pulsegate.pulses")
 
 # Peak table of this solver (validated against closed forms for the rising
 # exponential and against an independent adaptive integrator elsewhere).
@@ -422,7 +423,28 @@ class TestWholeRange:
             <= RISING_OVERLAP_BOUND
 
 
+def largest_divisor(n):
+    """The largest proper divisor of n above 1, or n itself when n is prime."""
+    return next((d for d in range(n // 2, 1, -1) if n % d == 0), n)
+
+
 class TestStreamedSolve:
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_block_size_invariance(self, shape, monkeypatch):
+        # the stepped judge (`_oracles.stepped_output_gram`) carries the
+        # chain's state from block to block, so where the blocks end, also
+        # on the window's last node, must not show
+        spec = PulseSpec(PulseShape(shape), 1.0)
+        grid = default_grid_for(spec)
+        ref = gram_judged(orc.stepped_output_gram(spec, grid))
+        n = drive_window(spec, grid)
+        exact, plus_one = largest_divisor(n), largest_divisor(n - 1)
+        assert n % exact == 0 and n % plus_one == 1
+        for block in (7, 1000, n, exact, plus_one):
+            monkeypatch.setattr(orc, "BLOCK_NODES", block)
+            np.testing.assert_allclose(gram_judged(orc.stepped_output_gram(spec, grid)), ref,
+                                       rtol=0, atol=1e-13, err_msg=f"block of {block}")
+
     def test_memory_stays_within_a_few_blocks(self):
         run_point("sym-exp", 1000.0)        # warm caches and lazy imports
         tracemalloc.start()
@@ -502,6 +524,21 @@ class TestExponentialRuns:
         sampled = record_samples(monkeypatch)
         run_point("rising-exp", gt)
         assert len(np.unique(np.concatenate(sampled))) <= 3
+
+    @pytest.mark.parametrize("shape", ["rect", "gauss"])
+    def test_zero_lead_is_skipped(self, shape, monkeypatch):
+        # at gamma_t = 1e-3 the pulse is exactly 0.0 on 96-99% of the
+        # default grid's window; the panels start at rest past all of it
+        spec = PulseSpec(PulseShape(shape), 1e-3)
+        grid = default_grid_for(spec)
+        n = drive_window(spec, grid)
+        lead = int(np.flatnonzero(_builtin_values(spec.shape, 1e-3, grid.times(0, n), grid.dt))[0])
+        assert lead > 0.95 * n
+        sampled = record_samples(monkeypatch)
+        run_point(shape, 1e-3)
+        t = np.concatenate(sampled)
+        assert t.min() > grid.times(lead - 1, lead)[0]
+        assert np.all(_piece_values(spec.shape, 1e-3, t) != 0.0)
 
     @pytest.mark.parametrize("shape", BUILTIN)
     def test_shortest_pulse_is_cheap(self, shape):
@@ -641,6 +678,19 @@ class TestAdiabaticGauss:
             run_point("gauss", 1e4)
             return time.perf_counter() - t0
         assert min(seconds() for _ in range(5)) < 2e-3
+
+    def test_independent_of_the_grid_policy(self, monkeypatch):
+        # a coarse default policy moves the stepped waveform path, not the
+        # panels
+        want = run_point("gauss", 300.0)
+        coarse = GridPolicy(samples_per_unit=50, lead_pad=0.0, tail=5.0)
+        monkeypatch.setattr(pulses_module, "DEFAULT_POLICY", coarse)
+        monkeypatch.setattr(sweep_module, "DEFAULT_POLICY", coarse)
+        monkeypatch.setattr(default_grid_for, "__defaults__", (coarse,))
+        monkeypatch.setattr(sweep_module.solve_spec, "__defaults__", (coarse,))
+        monkeypatch.setattr(sweep_module.solve_point, "__defaults__", (coarse,))
+        assert solve_point("gauss", 300.0).grid.dt == coarse.step_for(300.0)
+        assert run_point("gauss", 300.0) == want
 
     def test_unsettled_series_raises(self):
         # below gamma_t = 100 the asymptotic series stalls above 2**-53, and
