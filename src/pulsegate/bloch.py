@@ -20,8 +20,8 @@ drive -2 b_in |s1|^2. The linear equations are integrated with an
 integrating-factor (exponential) scheme that is exact for drives that are
 linear on each grid segment: constant-drive segments of the rectangular
 pulse are integrated exactly, smooth drives at second order. The full
-nonlinear system is integrated with classical RK4 and serves as the
-brute-force oracle for the perturbative chain.
+nonlinear system, the brute-force oracle for the chain, is integrated with
+classical RK4 in v = <s->/i, which stays real for a real drive.
 """
 
 from __future__ import annotations
@@ -171,13 +171,16 @@ def _left_sphere(grid: TimeGrid, node: int, z: float, alpha: complex) -> StepIns
 
 
 def _scaled_drive(v: np.ndarray, a: complex) -> tuple[list, int]:
-    """a * v as a list of Python complexes, and the index of its last
-    nonzero entry (-1 if none). The products are the ones complex * complex
-    makes, taken as separate float64 passes, so no fused multiply-add can
-    round them differently."""
-    drive = np.empty(len(v), dtype=complex)
-    drive.real = a.real * v.real - a.imag * v.imag
-    drive.imag = a.real * v.imag + a.imag * v.real
+    """a * v as a list of Python floats if v and a are both real, else of
+    complexes, and the index of its last nonzero entry (-1 if none). The
+    complex products are the ones complex * complex makes, taken as separate
+    float64 passes, so no fused multiply-add can round them differently."""
+    if a.imag == 0 and not np.iscomplexobj(v):
+        drive = a.real * v
+    else:
+        drive = np.empty(len(v), dtype=complex)
+        drive.real = a.real * v.real - a.imag * v.imag
+        drive.imag = a.real * v.imag + a.imag * v.real
     driven = np.flatnonzero(drive)
     return drive.tolist(), int(driven[-1]) if len(driven) else -1
 
@@ -191,9 +194,13 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     leaves [-1/2, 1/2] by more than 1e-6, the signature of a grid too
     coarse for the drive.
 
+    The loop steps v = <s->/i, in Python floats when b_in and alpha are
+    both real (so then is v) and in complexes otherwise. Multiplying by i
+    is exact, so each stage rounds as the same step of <s-> does.
+
     The RK4 loop stops at the node after the last one where alpha*b_in is
     nonzero. From there on every step is undriven and linear: it multiplies
-    <s-> by R(-Gamma dt) and <sz> + 1/2 by R(-2 Gamma dt), where
+    v by R(-Gamma dt) and <sz> + 1/2 by R(-2 Gamma dt), where
     R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24 is RK4's own amplification
     factor, not exp(h). The free decay is filled in as those powers, so
     the oracle stays independent of the chain's exact exponential ringdown
@@ -201,50 +208,49 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     """
     dt = b_in.grid.dt
     n = b_in.grid.n
-    # Python floats and complexes throughout the loop: numpy scalars cost
-    # several times as much per operation. Each stage keeps the operand
-    # order of d<s->/dt = -g s - 2i rt2g b z and
-    # d<sz>/dt = -2g (z + 1/2) - 2 rt2g Im(b s*), so every rounding matches
-    # the same step taken in numpy scalars.
+    # Python scalars in the loop: numpy scalars cost several times as much.
+    # Each stage keeps the operand order of dv/dt = -g v - r2 d z and
+    # d<sz>/dt = -2g (z + 1/2) + r2 Re(d v*), with the drive d = alpha b_in,
+    # so every rounding matches the same step taken in numpy scalars.
     g = float(params.gamma)
-    rt2g = math.sqrt(2 * g)
-    ng, m2g, i2r, r2 = -g, -2 * g, 2j * rt2g, 2 * rt2g
+    ng, m2g, r2 = -g, -2 * g, 2 * math.sqrt(2 * g)
     zb, last = _scaled_drive(b_in.values, complex(alpha))
     m = min(last + 1, n - 1)   # the loop computes nodes 1..m
 
-    sm = np.empty(n, dtype=complex)
+    kind = type(zb[0])         # float or complex, the drive's own type
+    vs = np.empty(n, dtype=kind)
     sz = np.empty(n)
-    s, z = 0j, -0.5
-    sm[0], sz[0] = s, z
+    v, z = kind(), -0.5
+    vs[0], sz[0] = v, z
     half = 0.5 * dt
     sixth = dt / 6.0
     d1 = zb[0]
-    c1 = i2r * d1
+    c1 = r2 * d1
     for k in range(m):
         d0, c0 = d1, c1
         d1 = zb[k + 1]
-        c1 = i2r * d1
+        c1 = r2 * d1
         dm = 0.5 * (d0 + d1)
-        cm = i2r * dm
-        k1s = ng * s - c0 * z
-        k1z = m2g * (z + 0.5) - r2 * (d0 * s.conjugate()).imag
-        s2 = s + half * k1s
+        cm = r2 * dm
+        k1v = ng * v - c0 * z
+        k1z = m2g * (z + 0.5) + r2 * (d0 * v.conjugate()).real
+        v2 = v + half * k1v
         z2 = z + half * k1z
-        k2s = ng * s2 - cm * z2
-        k2z = m2g * (z2 + 0.5) - r2 * (dm * s2.conjugate()).imag
-        s3 = s + half * k2s
+        k2v = ng * v2 - cm * z2
+        k2z = m2g * (z2 + 0.5) + r2 * (dm * v2.conjugate()).real
+        v3 = v + half * k2v
         z3 = z + half * k2z
-        k3s = ng * s3 - cm * z3
-        k3z = m2g * (z3 + 0.5) - r2 * (dm * s3.conjugate()).imag
-        s4 = s + dt * k3s
+        k3v = ng * v3 - cm * z3
+        k3z = m2g * (z3 + 0.5) + r2 * (dm * v3.conjugate()).real
+        v4 = v + dt * k3v
         z4 = z + dt * k3z
-        k4s = ng * s4 - c1 * z4
-        k4z = m2g * (z4 + 0.5) - r2 * (d1 * s4.conjugate()).imag
-        s = s + sixth * (k1s + 2 * k2s + 2 * k3s + k4s)
+        k4v = ng * v4 - c1 * z4
+        k4z = m2g * (z4 + 0.5) + r2 * (d1 * v4.conjugate()).real
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
         if abs(z) > 0.5 + 1e-6:
             raise _left_sphere(b_in.grid, k + 1, z, alpha)
-        sm[k + 1] = s
+        vs[k + 1] = v
         sz[k + 1] = z
 
     if m < n - 1:
@@ -253,11 +259,13 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
         # 0 * inf would turn it into nan
         with np.errstate(over="ignore", invalid="ignore"):
             sz[m + 1:] = -0.5 + (z + 0.5) * _rk4_factor(m2g * dt) ** steps if z != -0.5 else z
-            sm[m + 1:] = s * _rk4_factor(ng * dt) ** steps if s else s
+            vs[m + 1:] = v * _rk4_factor(ng * dt) ** steps if v else v
         bad = np.flatnonzero(np.abs(sz[m + 1:]) > 0.5 + 1e-6)
         if len(bad):
             node = m + 1 + int(bad[0])
             raise _left_sphere(b_in.grid, node, float(sz[node]), alpha)
+    # <s-> = i v; 0.0 - imag keeps the real part +0.0 where v is real
+    sm = np.column_stack((0.0 - vs.imag, vs.real)).view(complex).ravel()
     return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
 
 
@@ -269,8 +277,9 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
     nonlinear runs, independently of the perturbative chain.
 
     For each amplitude a_k the full Bloch output b_out = a b_in +
-    i sqrt(2 Gamma) <s-> is computed, then b_out(a) = a b1 + a^3 b3 is
-    fitted per time sample by least squares over the amplitude set.
+    i sqrt(2 Gamma) <s-> is computed (real for a real b_in), then
+    b_out(a) = a b1 + a^3 b3 is fitted per time sample by least squares
+    over the amplitude set, in one product with the design's pseudo-inverse.
     With deflate_fifth_order an a^5 column is added (and discarded), which
     removes the leading truncation bias of the two-term model (~alpha^2
     relative, a few 1e-3 at the default amplitude set) from the b3
@@ -284,12 +293,13 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
     if any(a <= 0 or a > 0.1 for a in alphas):
         raise IllConditionedFitError(
             f"amplitudes must lie in (0, 0.1] for a clean cubic fit, got {alphas}")
-    g = params.gamma
-    rt2g = np.sqrt(2 * g)
+    rt2g = np.sqrt(2 * params.gamma)
+    real = not np.iscomplexobj(b_in.values)
     outs = []
     for a in alphas:
-        state = full_bloch(b_in, a, params)
-        outs.append(a * b_in.values + 1j * rt2g * state.sigma_minus.values)
+        s = full_bloch(b_in, a, params).sigma_minus.values
+        outs.append(a * b_in.values + (-rt2g * s.imag if real else 1j * rt2g * s))
     design = np.array([[a, a**3, a**5][:n_cols] for a in alphas])
-    coef, *_ = np.linalg.lstsq(design, np.asarray(outs), rcond=None)
-    return (ComplexSignal(b_in.grid, coef[0]), ComplexSignal(b_in.grid, coef[1]))
+    fit = np.linalg.lstsq(design, np.eye(len(alphas)), rcond=None)[0]  # lstsq's rank rule
+    b1, b3 = fit[:2] @ np.asarray(outs)
+    return ComplexSignal(b_in.grid, b1), ComplexSignal(b_in.grid, b3)

@@ -45,7 +45,7 @@ GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
 SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
 GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
 # _halve_on_jumps halves the nodes closer than this many steps dt to a
-# jump; _exponential_runs keeps clear of the same reach
+# jump; _leading_run keeps clear of the same reach
 _JUMP_REACH = 1e-6
 
 
@@ -296,26 +296,19 @@ def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float
     return v
 
 
-def _exponential_runs(shape: PulseShape, T: float,
-                      grid: TimeGrid) -> list[tuple[int, int, float]]:
-    """The runs of consecutive grid nodes on which `_builtin_values` is a
-    single exponential b = C exp(lam t), as (first node, last node, lam):
-    the rectangular plateau (lam = 0), the rising exponential up to its
-    cutoff (1/T), and the symmetric exponential on either side of t = 0
-    (2/T up to the last node at or before it, -2/T from the first node past
-    it). Nodes halved at a jump are left out. Gaussian and custom pulses
-    have none."""
-    tol = _JUMP_REACH * grid.dt
-    if shape is PulseShape.RECTANGULAR:
-        runs = [(_nodes_through(grid, -T + tol), _nodes_through(grid, -tol) - 1, 0.0)]
-    elif shape is PulseShape.RISING_EXP:
-        runs = [(0, _nodes_through(grid, -tol) - 1, 1.0 / T)]
+def _leading_run(shape: PulseShape, T: float, grid: TimeGrid) -> Optional[float]:
+    """The rate lam of the run of nodes, from the grid's first, on which
+    `_builtin_values` is a single exponential C exp(lam t): the rising
+    exponential up to its cutoff (1/T, the node halved at the cutoff left
+    out) and the symmetric exponential up to t = 0 (2/T). None for the other
+    shapes, or if the run has fewer than two nodes."""
+    if shape is PulseShape.RISING_EXP:
+        end, lam = -_JUMP_REACH * grid.dt, 1.0 / T
     elif shape is PulseShape.SYM_EXP:
-        k = _nodes_through(grid, 0.0)
-        runs = [(0, k - 1, 2.0 / T), (k, grid.n - 1, -2.0 / T)]
+        end, lam = 0.0, 2.0 / T
     else:
-        return []
-    return [run for run in runs if run[0] < run[1]]
+        return None
+    return lam if _nodes_through(grid, end) > 1 else None
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:

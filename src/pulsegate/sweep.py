@@ -37,7 +37,7 @@ from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GAUSS_DRIVE_END, SYM_EXP_DRIVE_END, GridPolicy,
-                     PulseShape, PulseSpec, _exponential_runs, _piece_values,
+                     PulseShape, PulseSpec, _leading_run, _piece_values,
                      default_grid_for, sample_pulse)
 from .signal import ComplexSignal, TimeGrid, require_finite
 from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, limit_report
@@ -144,10 +144,10 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
     params = SystemParams()
     b_in = sample_pulse(spec, grid)
     start = (0.0, 0.0)
-    runs = _exponential_runs(spec.shape, spec.duration, grid)
-    if runs and runs[0][0] == 0:
+    lam = _leading_run(spec.shape, spec.duration, grid)
+    if lam is not None:
         # a leading run: the chain starts in its driven state
-        start = _driven_state(runs[0][2], grid.dt, float(b_in.values[0]))
+        start = _driven_state(lam, grid.dt, float(b_in.values[0]))
     chain = solve_chain(b_in, params, start)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them

@@ -10,7 +10,8 @@ from pulsegate import (ComplexSignal, GridPolicy,
                        perturbative_extraction, sample_pulse,
                        second_order_excitation, solve_chain,
                        third_order_response)
-from pulsegate.bloch import decay_block
+from pulsegate import bloch
+from pulsegate.bloch import FullBlochState, _scaled_drive, decay_block
 
 import _oracles as orc
 
@@ -246,8 +247,19 @@ class TestFullBlochAgainstStepping:
     def test_complex_pulse_complex_alpha(self):
         self.check(_complex_custom_pulse(), 0.05 * np.exp(0.4j))
 
+    def test_real_pulse_complex_alpha(self):
+        b, _ = pulse_and_grid(PulseSpec.gaussian, 0.799, GridPolicy(samples_per_unit=400))
+        self.check(b, 0.05 * np.exp(0.4j))
+
+    def test_complex_pulse_real_alpha(self):
+        self.check(_complex_custom_pulse(), 0.05)
+
     @staticmethod
     def check(b, alpha):
+        # the loop runs in Python floats only for a real pulse and real alpha
+        real = not np.iscomplexobj(b.values) and np.imag(alpha) == 0
+        zb, _ = _scaled_drive(b.values, complex(alpha))
+        assert {type(d) for d in zb} == {float if real else complex}
         new, ref = full_bloch(b, alpha), orc.rk4_full_bloch(b, alpha)
         s, s_ref = new.sigma_minus.values, ref.sigma_minus.values
         # the node after the last driven one ends the loop
@@ -328,3 +340,54 @@ class TestPerturbativeExtraction:
         z = ComplexSignal(g, np.zeros(g.n))
         e1, e3 = perturbative_extraction(z, SystemParams(), [0.02, 0.04])
         assert not e1.values.any() and not e3.values.any()
+
+
+class TestAmplitudeFit:
+    """perturbative_extraction's fit, apart from the RK4 runs."""
+
+    ALPHAS = [0.02, 0.04, 0.06]
+
+    @pytest.mark.parametrize("complex_pulse", [False, True])
+    def test_recovers_an_exact_quintic_response(self, complex_pulse, monkeypatch):
+        # b_out(a) = a b1 + a^3 b3 + a^5 b5 exactly: the deflated fit returns
+        # b1 and b3 to rounding, real for a real pulse
+        if complex_pulse:
+            b = _complex_custom_pulse()
+        else:
+            b, _ = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=400))
+        rng = np.random.default_rng(7)
+        parts = rng.standard_normal((3, b.grid.n)) + (
+            1j * rng.standard_normal((3, b.grid.n)) if complex_pulse else 0.0)
+        b1, b3, b5 = parts * [[1.0], [1.0], [5.0]]
+
+        def exact(b_in, alpha, params=SystemParams()):
+            out = alpha * b1 + alpha**3 * b3 + alpha**5 * b5
+            s = (out - alpha * b_in.values) / (1j * np.sqrt(2 * params.gamma))
+            return FullBlochState(ComplexSignal(b_in.grid, s), np.full(b_in.grid.n, -0.5),
+                                  complex(alpha))
+
+        monkeypatch.setattr(bloch, "full_bloch", exact)
+        e1, e3 = perturbative_extraction(b, SystemParams(), self.ALPHAS,
+                                         deflate_fifth_order=True)
+        assert np.iscomplexobj(e1.values) == complex_pulse
+        for est, ref in ((e1, b1), (e3, b3)):
+            assert np.linalg.norm(est.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_matches_lstsq_on_the_outputs_at_a_peak(self, monkeypatch):
+        # rect at its peak on criterion 8's grid: the pseudo-inverse applied
+        # in one product against lstsq over every output sample
+        b, _ = pulse_and_grid(PulseSpec.rectangular, 1.557, GridPolicy(samples_per_unit=2000))
+        outs = []
+
+        def recording(b_in, alpha, params=SystemParams()):
+            state = full_bloch(b_in, alpha, params)
+            outs.append(alpha * b_in.values + 1j * np.sqrt(2.0) * state.sigma_minus.values)
+            return state
+
+        monkeypatch.setattr(bloch, "full_bloch", recording)
+        e1, e3 = perturbative_extraction(b, SystemParams(), self.ALPHAS,
+                                         deflate_fifth_order=True)
+        design = np.array([[a, a**3, a**5] for a in self.ALPHAS])
+        ref = np.linalg.lstsq(design, np.asarray(outs), rcond=None)[0]
+        for est, r in zip((e1, e3), ref):
+            assert np.max(np.abs(est.values - r)) <= 1e-11 * np.max(np.abs(r))

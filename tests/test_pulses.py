@@ -8,7 +8,7 @@ from pulsegate import (GridPolicy, PulseFileError, PulseShape, PulseSpec,
                        UnsupportedSpanError, default_grid_for, load_pulse_file,
                        make_grid, norm_sq, sample_pulse)
 from pulsegate import pulses
-from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values, _exponential_runs
+from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values, _leading_run
 
 ALL_BUILTINS = [PulseSpec.rectangular, PulseSpec.rising_exponential,
                 PulseSpec.symmetric_exponential, PulseSpec.gaussian]
@@ -230,9 +230,10 @@ class TestExponentialRuns:
                                        PulseShape.SYM_EXP])
     @pytest.mark.parametrize("T, dt, t0", TestJumpSearch.GRIDS + [(3.0, 1.5e-3, None)])
     def test_runs_are_single_exponentials(self, shape, T, dt, t0):
-        # each run is C exp(lam t) node for node; the nodes just outside a
-        # rect or rising-exp run are off it (past a jump, or halved on one),
-        # and the symmetric exponential's two runs meet across t = 0
+        # the leading run is C exp(lam t) node for node, from the first node
+        # up to the rising exponential's cutoff (the node past it is off the
+        # run) or to the symmetric exponential's last node at or before t = 0;
+        # a rect grid opens on its zero lead, never on the plateau
         if t0 is None:
             grid = default_grid_for(PulseSpec(shape, T))
         else:
@@ -240,40 +241,44 @@ class TestExponentialRuns:
             grid = make_grid(t0, t0 + dt * (n - 1), n)
         t = grid.times()
         b = _builtin_values(shape, T, t, grid.dt)
-        runs = _exponential_runs(shape, T, grid)
-        for lo, hi, lam in runs:
-            assert 0 <= lo < hi < grid.n
-            np.testing.assert_allclose(b[lo:hi + 1], b[lo] * np.exp(lam * (t[lo:hi + 1] - t[lo])),
-                                       rtol=1e-12, atol=0)
-            if shape is not PulseShape.SYM_EXP:
-                for i, j in ((lo - 1, lo), (hi + 1, hi)):
-                    if 0 <= i < grid.n:
-                        assert abs(b[i] - b[j] * np.exp(lam * (t[i] - t[j]))) > 1e-9 * b[j]
+        lam = _leading_run(shape, T, grid)
+        if shape is PulseShape.RECTANGULAR:
+            assert lam is None and b[0] == 0.0
+            return
         if shape is PulseShape.SYM_EXP:
-            (lo1, hi1, lam1), (lo2, hi2, lam2) = runs
-            assert (lo1, hi2, lam1, lam2) == (0, grid.n - 1, 2.0 / T, -2.0 / T)
-            assert hi1 + 1 == lo2 and t[hi1] <= 0.0 < t[lo2]
-        elif t0 is None:
-            assert len(runs) == 1
+            hi = np.searchsorted(t, 0.0, side="right") - 1
+            assert lam == 2.0 / T and t[hi] <= 0.0 < t[hi + 1]
+        else:
+            hi = np.searchsorted(t, -pulses._JUMP_REACH * grid.dt, side="right") - 1
+            assert lam == 1.0 / T
+            assert abs(b[hi + 1] - b[hi] * np.exp(lam * (t[hi + 1] - t[hi]))) > 1e-9 * b[hi]
+        np.testing.assert_allclose(b[:hi + 1], b[0] * np.exp(lam * (t[:hi + 1] - t[0])),
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("T, dt, t0", TestJumpSearch.GRIDS)
     def test_halved_nodes_stay_out_of_runs(self, T, dt, t0, monkeypatch):
         # a wider reach of _halve_on_jumps, which on the 1.557 grid halves
-        # the nodes 0.35 dt from both jumps: no halved node may fall inside
-        # a run
+        # the node 0.35 dt before the cutoff: the rising exponential's run
+        # ends before its halved nodes, and a grid whose only node before
+        # the cutoff is halved opens on no run
         monkeypatch.setattr(pulses, "_JUMP_REACH", 0.4)
+        amp = math.sqrt(2.0 / T)
         n = int((T + 2 - t0) / dt) + 3
         grid = make_grid(t0, t0 + dt * (n - 1), n)
-        for shape, amp in ((PulseShape.RECTANGULAR, 1.0 / math.sqrt(T)),
-                           (PulseShape.RISING_EXP, math.sqrt(2.0 / T))):
-            halved = np.flatnonzero(_builtin_values(shape, T, grid.times(), grid.dt) == 0.5 * amp)
-            for lo, hi, _ in _exponential_runs(shape, T, grid):
-                assert not np.any((lo <= halved) & (halved <= hi)), (shape, lo, hi, halved)
+        t = grid.times()
+        b = _builtin_values(PulseShape.RISING_EXP, T, t, grid.dt)
+        halved = np.flatnonzero(b == 0.5 * amp)
+        assert _leading_run(PulseShape.RISING_EXP, T, grid) == 1.0 / T
+        np.testing.assert_allclose(b[:halved[0]], amp * np.exp(t[:halved[0]] / T),
+                                   rtol=1e-12, atol=0)
+        late = make_grid(-0.3 * dt, 3.7 * dt, 5)
+        assert _builtin_values(PulseShape.RISING_EXP, T, late.times(), dt)[0] == 0.5 * amp
+        assert _leading_run(PulseShape.RISING_EXP, T, late) is None
 
     @pytest.mark.parametrize("spec", [PulseSpec.gaussian(2.0),
                                       PulseSpec.custom(np.linspace(-1, 1, 5), np.ones(5))])
     def test_gauss_and_custom_have_none(self, spec):
-        assert _exponential_runs(spec.shape, spec.duration, default_grid_for(spec)) == []
+        assert _leading_run(spec.shape, spec.duration, default_grid_for(spec)) is None
 
 
 class TestCustomPulses:
