@@ -18,15 +18,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     ap.add_argument("--num", type=int, default=121)
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     for shape in PulseShape:
         if shape is PulseShape.CUSTOM:
             continue
         out = args.outdir / f"sweep_{shape.value}.csv"
-        rc = cli_main(["sweep", "--shape", shape.value, "--num", str(args.num),
-                       "--workers", str(args.workers), "--out", str(out)])
+        rc = cli_main(["sweep", "--shape", shape.value, "--num", str(args.num), "--out", str(out)])
         if rc != 0:
             return rc
     return 0

@@ -159,6 +159,8 @@ def _policy_from(args) -> GridPolicy:
 
 
 def _solution_from(args) -> PointSolution:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
     policy = _policy_from(args)
     if args.shape == "custom":
         if args.pulse_file is None:
@@ -202,7 +204,7 @@ def cmd_respond(args) -> int:
     out = Path(args.out or f"respond_{args.shape}")
     cols = _waveform_columns(sol, (sol.b_in, sol.pair.linear, sol.pair.cubic,
                                    sol.decomposition.psi1, sol.decomposition.psi2),
-                             max(1, args.stride))
+                             args.stride)
     header = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
               "psi1_re,psi1_im,psi2_re,psi2_im")
     _write_atomic(Path(f"{out}.signals.csv"), _csv(header, cols))
@@ -219,8 +221,7 @@ def cmd_respond(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = sweep(args.shape, args.gt_min, args.gt_max, args.num,
-                 log_spaced=not args.linear, workers=max(1, args.workers))
+    rows = sweep(args.shape, args.gt_min, args.gt_max, args.num, log_spaced=not args.linear)
     out = Path(args.out) if args.out else Path(f"sweep_{args.shape}.csv")
     _write_atomic(out, _csv(SWEEP_HEADER, [[getattr(r, name) for r in rows]
                                            for name in SWEEP_HEADER.split(",")]))
@@ -246,7 +247,7 @@ def cmd_modes(args) -> int:
     sol = _solution_from(args)
     modes = sol.modes()
     out = Path(args.out) if args.out else Path(f"modes_{args.shape}.csv")
-    cols = _waveform_columns(sol, modes, max(1, args.stride))
+    cols = _waveform_columns(sol, modes, args.stride)
     _write_atomic(out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im", cols))
     print(f"wrote {len(cols[0])} rows to {out}")
     return 0
@@ -280,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=DEFAULT_SWEEP_POINTS,
                    help=f"number of points (default {DEFAULT_SWEEP_POINTS})")
     p.add_argument("--linear", action="store_true", help="linear instead of log spacing")
-    p.add_argument("--workers", type=int, default=1,
-                   help="evaluate sweep points in this many processes; "
-                        "output is identical regardless (default 1)")
     p.add_argument("--out", help="CSV path (default sweep_<shape>.csv)")
     p.set_defaults(func=cmd_sweep)
 

@@ -245,14 +245,6 @@ def _nodes_through(grid: TimeGrid, t: float) -> int:
     return i
 
 
-def drive_window(spec: PulseSpec, grid: TimeGrid) -> int:
-    """Number of leading grid nodes up to and including the first one past
-    spec.drive_end(): from that node on the pulse has passed and the dipole
-    relaxes freely. A pulse that drives up to the grid end gets all of them.
-    """
-    return min(max(_nodes_through(grid, spec.drive_end()) + 1, 2), grid.n)
-
-
 def _piece_values(shape: PulseShape, T: float, t: np.ndarray) -> np.ndarray:
     """A built-in pulse's defining formula at the times t (an array of any
     shape) inside one of its smooth pieces, between its breakpoints: the

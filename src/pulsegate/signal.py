@@ -2,7 +2,7 @@
 
 All times are in units of the dipole relaxation time 1/Gamma (Gamma = 1
 internally). Signals are immutable value objects; every operation here is
-pure, so they can be shared freely across workers. Inner products are the
+pure, so they can be shared freely. Inner products are the
 plain trapezoid rule over every node of a grid.
 """
 
@@ -84,7 +84,7 @@ def require_finite(x) -> None:
 
 def _dot(a: np.ndarray, b: np.ndarray):
     """sum conj(a) b. einsum, not BLAS: OpenBLAS threads dot products past
-    10k samples, which stalls when pool workers already occupy every core."""
+    10k samples, which stalls when other processes already occupy every core."""
     return np.einsum("i,i", a.conj(), b)
 
 

@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Union
 
@@ -346,37 +343,19 @@ def sweep_durations(gt_min: float, gt_max: float, n_points: int,
     return np.linspace(gt_min, gt_max, n_points)
 
 
-def _point_task(task: tuple) -> SweepRow:
-    return run_point(*task)
-
-
 def sweep(shape: ShapeLike, gt_min: float = DEFAULT_SWEEP_RANGE[0],
           gt_max: float = DEFAULT_SWEEP_RANGE[1],
-          n_points: int = DEFAULT_SWEEP_POINTS, log_spaced: bool = True,
-          workers: int = 1) -> list[SweepRow]:
-    """Rows for n_points durations between gt_min and gt_max, ascending.
-
-    Points are independent pure computations; with workers > 1 they are
-    evaluated in a process pool and collected in duration order, so the
-    result (and any file written from it) is identical either way.
-    """
-    gts = sweep_durations(gt_min, gt_max, n_points, log_spaced)
-    tasks = [(shape, float(gt)) for gt in gts]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_point_task, tasks)
-        return list(_iter_annotated(results, gts))
-
-
-def _iter_annotated(results, gts):
-    """Yield the results in order, naming the duration of a failed point."""
-    it = iter(results)
-    for gt in gts:
+          n_points: int = DEFAULT_SWEEP_POINTS, log_spaced: bool = True) -> list[SweepRow]:
+    """Rows for n_points durations between gt_min and gt_max, ascending,
+    solved one after another in this process. A failed point re-raises its
+    error with its duration named."""
+    rows = []
+    for gt in sweep_durations(gt_min, gt_max, n_points, log_spaced).tolist():
         try:
-            yield next(it)
+            rows.append(run_point(shape, gt))
         except SolverError as exc:
             raise type(exc)(f"at gamma_t={gt:g}: {exc}") from exc
-        except BrokenProcessPool as exc:
-            raise SolverError(f"at gamma_t={gt:g}: a sweep worker process died ({exc})") from exc
+    return rows
 
 
 def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) -> PeakResult:

@@ -6,8 +6,9 @@ package's integrators, so agreement is a genuine cross-check. The
 exceptions are kept as references for faster package code:
 `rk4_full_bloch`, the step-by-step RK4 oracle that `pulsegate.full_bloch`
 is checked against; `stepped_output_gram`, the Gram matrix of the outputs
-with every drive-window node stepped (from rest, over a long lead-in for
-the pulses that have been on since t = -inf), whose Richardson value,
+with every node of its drive window (`drive_window`) stepped (from rest,
+over a long lead-in for the pulses that have been on since t = -inf),
+whose Richardson value,
 with `continuum_lead`, judges `pulsegate.sweep.run_point`'s continuum
 amplitudes; `adiabatic_gram`, the gaussian's adiabatic series, which
 judges them from gamma_t = 100 on; and `csv_text`, the one-value-at-a-time
@@ -22,8 +23,8 @@ import numpy as np
 
 from pulsegate.bloch import FullBlochState, SystemParams, decay_block
 from pulsegate.errors import SolverError, StepInstabilityError
-from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, check_span,
-                              default_grid_for, drive_window)
+from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, _nodes_through,
+                              check_span, default_grid_for)
 from pulsegate.signal import ComplexSignal, _dot, require_finite
 
 SQ2 = np.sqrt(2.0)
@@ -193,6 +194,14 @@ def _leading_rate(spec):
     exponential's left side (2/T)."""
     return {PulseShape.RISING_EXP: 1.0 / spec.duration,
             PulseShape.SYM_EXP: 2.0 / spec.duration}.get(spec.shape)
+
+
+def drive_window(spec, grid):
+    """Number of leading grid nodes up to and including the first one past
+    spec.drive_end(): from that node on the pulse has passed and the dipole
+    relaxes freely. A pulse that drives up to the grid end gets all of them.
+    """
+    return min(max(_nodes_through(grid, spec.drive_end()) + 1, 2), grid.n)
 
 
 def stepped_output_gram(spec, grid):

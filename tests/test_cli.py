@@ -1,12 +1,9 @@
 import dataclasses
-import functools
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import stat
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -156,18 +153,36 @@ class TestSweepCmd:
         run(*args, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_dead_worker_exits_3_naming_gamma_t(self, tmp_path, monkeypatch, capsys):
-        # forked workers inherit the patched run_point and die on their first point
+    def test_failed_point_exits_3_naming_gamma_t(self, tmp_path, monkeypatch, capsys):
+        # the second duration fails: sweep() re-raises its error class with
+        # the duration named, and the command writes no table
         sweep_module = importlib.import_module("pulsegate.sweep")
-        monkeypatch.setattr(sweep_module, "run_point", lambda *args: os._exit(1))
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        run_point = sweep_module.run_point
+        second = sweep_module.sweep_durations(0.5, 2.0, 3)[1]
+
+        def fail_second(shape, gt):
+            if gt == second:
+                raise errors.NormViolationError("boom")
+            return run_point(shape, gt)
+
+        monkeypatch.setattr(sweep_module, "run_point", fail_second)
+        message = f"at gamma_t={second:g}: boom"
+        with pytest.raises(errors.NormViolationError) as exc:
+            sweep_module.sweep("gauss", 0.5, 2.0, 3)
+        assert str(exc.value) == message
         out = tmp_path / "s.csv"
         assert run("sweep", "--shape", "gauss", "--from", "0.5", "--to", "2",
-                   "--num", "3", "--workers", "2", "--out", out) == 3
-        err = capsys.readouterr().err
-        assert "at gamma_t=0.5:" in err and "worker process died" in err
+                   "--num", "3", "--out", out) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_workers_flag_is_refused(self, tmp_path, capsys):
+        # a sweep runs in the calling process and takes no worker count
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--shape", "gauss", "--workers", "2", "--out", tmp_path / "s.csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seventeen_digit_precision(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -248,6 +263,17 @@ class TestWaveformFiles:
         for suffix in (".signals.csv", ".summary.json", ".modes.csv"):
             a, b = (tmp_path / f"{tag}{suffix}" for tag in ("a", "b"))
             assert_same_text(a.read_bytes().decode(), b.read_bytes().decode())
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    @pytest.mark.parametrize("cmd", ["respond", "modes"])
+    def test_stride_below_1_exits_2_before_solving(self, cmd, stride, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_solve(*args):
+            raise AssertionError("solved before the stride was checked")
+        monkeypatch.setattr(cli, "solve_point", no_solve)
+        assert run(cmd, *self.ARGS, "--stride", stride, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: --stride must be at least 1, got {stride}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_files_match_the_per_value_reference(self, tmp_path):
         run("respond", *self.ARGS, "--stride", "1", "--out", tmp_path / "r")
@@ -361,18 +387,21 @@ class TestHugeGridExtent:
     @pytest.mark.parametrize("flag", ["--tail", "--lead-pad"])
     @pytest.mark.parametrize("cmd", [("sweep",), ("peak",), ("respond", "--gamma-t", "1")])
     def test_exits_2_before_writing(self, cmd, flag, tmp_path, capsys):
-        # finite, but more grid steps than a float can count: respond
-        # refuses the grid, and sweep and peak, which build none, the flag
-        argv = (*cmd, "--shape", "rect", flag, "1e308", "--out", tmp_path / "o")
-        if cmd[0] == "respond":
-            assert run(*argv) == 2
-            assert capsys.readouterr().err.startswith("error: ")
-        else:
-            with pytest.raises(SystemExit) as exc:
-                run(*argv)
-            assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        # 1e308 is finite, but more grid steps than a float can count; 1e9
+        # is far over the node budget, so no accepted grid starts so far
+        # out that its node times lose the step: respond refuses the grid,
+        # and sweep and peak, which build none, the flag
+        for value in ("1e308", "1e9"):
+            argv = (*cmd, "--shape", "rect", flag, value, "--out", tmp_path / "o")
+            if cmd[0] == "respond":
+                assert run(*argv) == 2
+                assert capsys.readouterr().err.startswith("error: ")
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    run(*argv)
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

@@ -20,7 +20,7 @@ import pulsegate
 from pulsegate import twophoton
 from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
                        NoPeakError, NormViolationError, PulseShape, PulseSpec, SolverError,
-                       default_grid_for, drive_window, find_peak_c12,
+                       default_grid_for, find_peak_c12,
                        inner_product, mode_shapes_at, norm_sq, run_point,
                        sample_pulse, solve_point, solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
@@ -313,7 +313,7 @@ class TestDriveWindow:
     def test_window_ends_with_the_drive(self, shape):
         spec = PulseSpec(PulseShape(shape), 0.3)
         grid = default_grid_for(spec)
-        n = drive_window(spec, grid)
+        n = orc.drive_window(spec, grid)
         assert n < grid.n
         t = grid.times()
         assert t[n - 2] <= spec.drive_end() < t[n - 1]
@@ -324,7 +324,7 @@ class TestDriveWindow:
         spec = PulseSpec.gaussian(1000.0)
         grid = default_grid_for(spec)
         assert spec.drive_end() > grid.t_end
-        assert drive_window(spec, grid) == grid.n
+        assert orc.drive_window(spec, grid) == grid.n
 
     @pytest.mark.parametrize("gt", [0.01, 0.3, 1.0, 30.0, 300.0])
     @pytest.mark.parametrize("shape", BUILTIN)
@@ -378,7 +378,7 @@ class TestDriveWindow:
     def test_solve_spec_waveforms_cover_the_grid(self, spec):
         sol = solve_spec(spec)
         grid = default_grid_for(spec)
-        assert sol.grid == grid and drive_window(spec, grid) < grid.n
+        assert sol.grid == grid and orc.drive_window(spec, grid) < grid.n
         dec = sol.decomposition
         for sig in (sol.b_in, sol.pair.linear, sol.pair.cubic, dec.psi1, dec.psi2):
             assert sig.grid == grid and len(sig.values) == grid.n
@@ -437,7 +437,7 @@ class TestStreamedSolve:
         spec = PulseSpec(PulseShape(shape), 1.0)
         grid = default_grid_for(spec)
         ref = gram_judged(orc.stepped_output_gram(spec, grid))
-        n = drive_window(spec, grid)
+        n = orc.drive_window(spec, grid)
         exact, plus_one = largest_divisor(n), largest_divisor(n - 1)
         assert n % exact == 0 and n % plus_one == 1
         for block in (7, 1000, n, exact, plus_one):
@@ -531,7 +531,7 @@ class TestExponentialRuns:
         # default grid's window; the panels start at rest past all of it
         spec = PulseSpec(PulseShape(shape), 1e-3)
         grid = default_grid_for(spec)
-        n = drive_window(spec, grid)
+        n = orc.drive_window(spec, grid)
         lead = int(np.flatnonzero(_builtin_values(spec.shape, 1e-3, grid.times(0, n), grid.dt))[0])
         assert lead > 0.95 * n
         sampled = record_samples(monkeypatch)
