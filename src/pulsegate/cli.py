@@ -15,6 +15,18 @@ temp file, so no CSV table is held in memory as one string. An existing
 file is replaced by exchanging it with the temp file where the system
 can (Linux ``renameat2``), so that the replacement does not wait on a
 disk flush; see `_write_atomic`.
+
+A block's text is byte for byte what ``'%.17g' % x`` gives each value,
+built by a numpy kernel (`_fill_slots`) instead of one value at a time.
+A column that is +0.0 throughout the block is written as ``0`` outright.
+Any other value gets its 17 digits as round(|x| 10**(16 - e)), e =
+floor(log10|x|), from a double-double table of powers of ten and
+Dekker's exact product; its sign, "0.000" prefix, point, exponent and
+separator come from small lookup tables into a fixed NUL-padded slot,
+and the NULs are dropped. ``'%.17g'`` itself formats what the kernel
+cannot decide: values within 1e-6 of a 17-digit tie, digit counts not
+strictly between 10**16 and 10**17 (log10 a decade off, powers of ten),
+|x| outside [1e-270, 1e290] (subnormals among them), inf and nan.
 """
 
 from __future__ import annotations
@@ -40,8 +52,8 @@ SWEEP_HEADER = "gamma_t,c11_re,c11_im,c11_sq,c12_sq,cr_sq,overlap_re,overlap_im"
 
 BUILTIN_SHAPES = [s.value for s in PulseShape if s is not PulseShape.CUSTOM]
 
-# rows per `%` call in `_csv`: large enough to amortise the call, small
-# enough that a block's text stays near 1 MB (11 columns of 17 digits)
+# rows per chunk of `_csv`: large enough to amortise numpy's per-call cost,
+# small enough that a block's slots stay near 2 MB (11 columns of 48 bytes)
 _CSV_BLOCK_ROWS = 4096
 
 # renameat2(2) and its flag that swaps two existing names in one step;
@@ -107,16 +119,164 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
+# -- the 17-digit kernel -------------------------------------------------
+# A value's text is built in a slot of six 64-bit words, written out
+# little-endian; its NUL bytes are dropped once per block. Digit j (0-16)
+# of the 17 sits at byte 6 + 2j and a point after it at byte 7 + 2j:
+#   word 0     byte 0 the sign, bytes 1-5 the "0." to "0.000" of
+#              1e-4 <= |x| < 1, byte 6 the first digit, byte 7 its point
+#   words 1-4  digits 2-17, four to a word, each with its point place
+#   word 5     the exponent ("e-05" to "e+290"), byte 5 the separator
+_SLOT_WORDS = 6
+# |x| outside this range, subnormals among it, is left to '%.17g'; inside
+# it no step of the exact product below under- or overflows
+_LIVE_MIN, _LIVE_MAX = 1e-270, 1e290
+# floor(log10|x|) of a value in that range, or one either side of it
+# where log10 rounds across a power of ten; the tables indexed by the
+# exponent e hold e = _E_MIN.._E_MAX at e - _E_MIN
+_E_MIN, _E_MAX = -272, 291
+_SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's split of a double
+
+
+def _split(x):
+    """x = hi + lo exactly, each with at most 26 significant bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _words(chunks) -> np.ndarray:
+    """Little-endian 8-byte chunks as native uint64 words."""
+    return np.frombuffer(b"".join(chunks), "<u8").astype(np.uint64)
+
+
+def _pow10_tables():
+    """Per exponent e: 10**(16 - e) as a double-double H + L, from exact
+    integers (to about 2**-106 relative), with H's split."""
+    h, lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        # 10**(16 - e) = num/den; int / int rounds correctly
+        num, den = (10**(16 - e), 1) if e <= 16 else (1, 10**(e - 16))
+        h.append(num / den)
+        hn, hd = h[-1].as_integer_ratio()
+        lo.append((num * hd - hn * den) / (den * hd))
+    h = np.array(h)
+    return (h, *_split(h), np.array(lo))
+
+
+def _layout_tables():
+    """Per exponent e (as above): the count P of digits before the point
+    ('%.17g' puts it after the first digit in exponent form, after digit
+    e + 1 in fixed form, and in the "0.000" prefix below 1); words 0-4
+    with the prefix and that point; and the exponent word. Per count k of
+    digits kept: the masks of words 0-4 that keep the sign, the prefix,
+    the first k digits and a point with a kept digit after it. Per 4-digit
+    group: its word and, for each of words 1-4, how many of digits 2-17 run
+    up to the group's last nonzero digit there (0 for 0000)."""
+    before, points, expo = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        fixed = -4 <= e < 17
+        P = e + 1 if 0 <= e < 17 else 0 if fixed else 1
+        head = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
+        slot = bytearray(("\0" + head).encode().ljust(40, b"\0"))
+        if P:
+            slot[5 + 2 * P] = ord(".")
+        before.append(P)
+        points.append(bytes(slot))
+        expo.append(("" if fixed else f"e{e:+03d}").encode().ljust(8, b"\0"))
+    keep = []
+    for k in range(18):
+        mask = bytearray(b"\xff" * 6 + bytes(34))
+        for j in range(k):
+            mask[6 + 2 * j] = 0xff
+            if j:
+                mask[5 + 2 * j] = 0xff      # the point before digit j
+        keep.append(bytes(mask))
+    g = np.arange(10000)
+    digits = [g // 10**(3 - d) % 10 for d in range(4)]
+    group = sum((dig + ord("0")).astype(np.uint64) << np.uint64(16 * d)
+                for d, dig in enumerate(digits))
+    ends = 4 - sum(g % 10**d == 0 for d in range(1, 5))     # 0 for 0000
+    return (np.array(before, np.int8),
+            _words(points).reshape(-1, 5).T.copy(),
+            _words(expo),
+            _words(keep).reshape(-1, 5).T.copy(),
+            group,
+            np.array([np.where(ends, 4 * w + ends, 0) for w in range(4)], np.int8))
+
+
+_POW_H, _POW_HH, _POW_HL, _POW_L = _pow10_tables()
+_BEFORE, _POINT, _EXPONENT, _KEEP, _GROUP, _ENDS = _layout_tables()
+_ZERO_SLOT = _words([b"0".ljust(8 * _SLOT_WORDS, b"\0")])
+
+
+def _fill_slots(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the slots of the 1-d float64 values x into out, shape (len(x),
+    6): each value byte for byte as '%.17g' gives it, less the separator."""
+    a = np.abs(x)
+    zero = a == 0.0
+    live = (a >= _LIVE_MIN) & (a <= _LIVE_MAX)
+    a[~live] = 1.0
+    i = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    # the 17 digits n = round(a * 10**(16 - e)), e = floor(log10 a): Dekker's
+    # exact product a*H = p + err plus a*L, summed into the small r that
+    # rounds beside p's integer part; r is within about 1e-14 of exact
+    p = a * _POW_H[i]
+    ah, al = _split(a)
+    hh, hl = _POW_HH[i], _POW_HL[i]
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    whole = p.astype(np.int64)
+    r = (p - whole) + err + a * _POW_L[i]
+    rr = np.rint(r)
+    n = whole + rr.astype(np.int64)
+    # within 1e-6 of a tie, or n not strictly inside 17 digits (log10 off
+    # by one, a power of ten, a round up to 10**17), '%.17g' decides; a
+    # signed zero (n = 10**16 from a = 1.0) is written as its sign and 0
+    fallback = (~live | (np.abs(r - rr) > 0.5 - 1e-6) | (n <= 10**16) | (n >= 10**17)) & ~zero
+    top = n // 10**8
+    lo = n - top * 10**8
+    first = top // 10**8
+    hi = top - first * 10**8
+    first[zero] = 0
+    g1 = hi // 10**4
+    g3 = lo // 10**4
+    groups = (g1, hi - g1 * 10**4, g3, lo - g3 * 10**4)
+    # digits kept: up to the last nonzero one, and at least to the point
+    ends = np.maximum(np.maximum(_ENDS[0][groups[0]], _ENDS[1][groups[1]]),
+                      np.maximum(_ENDS[2][groups[2]], _ENDS[3][groups[3]]))
+    k = np.maximum(ends + 1, _BEFORE[i])
+    out[:, 0] = (_POINT[0][i] | (first.astype(np.uint64) + ord("0")) << 48   # byte 6
+                 | np.signbit(x).astype(np.uint64) * ord("-")) & _KEEP[0][k]
+    for w, g in enumerate(groups, start=1):
+        out[:, w] = (_GROUP[g] | _POINT[w][i]) & _KEEP[w][k]
+    out[:, 5] = _EXPONENT[i]
+    for j in np.flatnonzero(fallback):
+        out[j] = _words([("%.17g" % x[j]).encode().ljust(8 * _SLOT_WORDS, b"\0")])
+
+
+def _csv_block(cols: Sequence[np.ndarray]) -> str:
+    """The CSV rows of equal-length float64 columns; a column that is +0.0
+    throughout (bitwise) is written as 0 without the kernel."""
+    slots = np.empty((len(cols[0]), len(cols), _SLOT_WORDS), np.uint64)
+    for x, out in zip(cols, slots.transpose(1, 0, 2)):
+        if x.view(np.uint64).any():
+            _fill_slots(x, out)
+        else:
+            out[:] = _ZERO_SLOT
+    separators = np.full(len(cols), ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    slots[:, :, 5] |= separators << np.uint64(40)
+    return slots.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv(header: str, cols: Sequence) -> Iterator[str]:
     """Yield a CSV table as text chunks: the header line, then the rows of
     `cols` (equal-length float columns) at 17 significant digits,
     `_CSV_BLOCK_ROWS` rows per chunk."""
     yield header + "\n"
-    table = np.column_stack(cols)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for a in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[a:a + _CSV_BLOCK_ROWS]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    for a in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+        yield _csv_block([c[a:a + _CSV_BLOCK_ROWS] for c in cols])
 
 
 def _waveform_columns(sol: PointSolution, signals, stride: int) -> list:

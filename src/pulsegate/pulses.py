@@ -220,7 +220,16 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
         span = (hi + policy.tail) - (lo - policy.lead_pad)
         n = _steps(span / dt) + 1
         t_start = lo - policy.lead_pad
-        return make_grid(t_start, t_start + span, n)
+        grid = make_grid(t_start, t_start + span, n)
+        # node times t_start + i dt round to the spacing of doubles near
+        # them; from about 2**-20 dt on, that moves c12^2 by 1e-12 (README)
+        edge = max(abs(grid.t_start), abs(grid.t_end))
+        if math.ulp(edge) > 2.0**-20 * grid.dt:
+            raise PulseFileError(
+                f"custom pulse times reach |t| = {edge:g}, where doubles are "
+                f"{math.ulp(edge):.3g} apart, over 2**-20 of the grid step "
+                f"{grid.dt:.3g}; shift the times toward t = 0")
+        return grid
     else:
         # nodes at (k + h) dt: t = 0 mid-segment where it is a jump (the
         # rising exponential's cutoff), on a node where it is a kink or a

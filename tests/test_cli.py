@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ SIGNALS_HEADER = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
 # (1e16 and 1e-5), an inexact decimal, and the non-finite values
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                1e16, 1e-5, 0.1, math.nan, math.inf, -math.inf]
+
+
+def ulps_from(x, d):
+    """x moved d units in the last place (toward +inf for d > 0)."""
+    for _ in range(abs(d)):
+        x = np.nextafter(x, math.copysign(math.inf, d))
+    return x
 
 
 def run(*argv):
@@ -90,11 +98,17 @@ class TestRespond:
     def test_out_of_range_duration_exits_2(self):
         assert run("respond", "--shape", "gauss", "--gamma-t", "1e-9") == 2
 
-    def test_custom_round_trip_matches_builtin(self, tmp_path, capsys):
+    @staticmethod
+    def gauss_file(path, offset=0.0):
+        """The gaussian of duration 1 as a 6001-sample file over [-3, 3] +
+        offset."""
         tt = np.linspace(-3, 3, 6001)
         vv = math.sqrt(2 / math.sqrt(math.pi)) * np.exp(-2 * tt**2)
-        pf = tmp_path / "f.txt"
-        pf.write_text("\n".join(f"{a} {b}" for a, b in zip(tt, vv)))
+        path.write_text("\n".join(f"{a} {b}" for a, b in zip(tt + offset, vv)))
+        return path
+
+    def test_custom_round_trip_matches_builtin(self, tmp_path, capsys):
+        pf = self.gauss_file(tmp_path / "f.txt")
         out1, out2 = tmp_path / "custom", tmp_path / "builtin"
         assert run("respond", "--shape", "custom", "--pulse-file", pf,
                    "--out", out1) == 0
@@ -104,6 +118,23 @@ class TestRespond:
         b = json.loads((tmp_path / "builtin.summary.json").read_text())
         for key in ("c11_re", "c12_sq", "cr_sq", "overlap_re"):
             assert float(a[key]) == pytest.approx(float(b[key]), abs=1e-4)
+
+    def test_custom_times_far_from_zero_exit_2(self, tmp_path, capsys):
+        # at |t| ~ 1e9 doubles are 1.2e-7 apart, 4e-5 of the 3e-3 grid step
+        pf = self.gauss_file(tmp_path / "f.txt", offset=1e9)
+        assert run("respond", "--shape", "custom", "--pulse-file", pf,
+                   "--out", tmp_path / "o") == 2
+        assert "shift the times toward t = 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [pf]
+
+    def test_custom_times_near_zero_keep_the_amplitudes(self, tmp_path):
+        for name, offset in (("a", 0.0), ("b", 1e3)):
+            pf = self.gauss_file(tmp_path / f"{name}.txt", offset)
+            assert run("respond", "--shape", "custom", "--pulse-file", pf,
+                       "--out", tmp_path / name) == 0
+        a, b = (json.loads((tmp_path / f"{name}.summary.json").read_text()) for name in "ab")
+        for key in ("c11_re", "c11_im", "c12_sq", "cr_sq", "overlap_re", "overlap_im"):
+            assert float(a[key]) == pytest.approx(float(b[key]), abs=1e-12), key
 
     def test_custom_without_file_exits_2(self):
         assert run("respond", "--shape", "custom", "--gamma-t", "1") == 2
@@ -275,10 +306,14 @@ class TestWaveformFiles:
         assert capsys.readouterr().err == f"error: --stride must be at least 1, got {stride}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_files_match_the_per_value_reference(self, tmp_path):
-        run("respond", *self.ARGS, "--stride", "1", "--out", tmp_path / "r")
-        run("modes", *self.ARGS, "--stride", "1", "--out", tmp_path / "m.csv")
-        sol = solve_point("gauss", 1.0, GridPolicy(samples_per_unit=400))
+    @pytest.mark.parametrize("shape", ["rect", "rising-exp", "sym-exp", "gauss"])
+    def test_files_match_the_per_value_reference(self, shape, tmp_path):
+        # b_in_im, b1_im and psi1_im are +0.0 throughout (written without the
+        # kernel); b3_im and psi2_im hold -0.0, alone or mixed with +0.0
+        args = ["--shape", shape, "--gamma-t", "1", *FAST, "--stride", "1"]
+        run("respond", *args, "--out", tmp_path / "r")
+        run("modes", *args, "--out", tmp_path / "m.csv")
+        sol = solve_point(shape, 1.0, GridPolicy(samples_per_unit=400))
         d = sol.decomposition
         b_in, b1, b3 = sol.b_in.values, sol.pair.linear.values, sol.pair.cubic.values
         p1, p2 = d.psi1.values, d.psi2.values
@@ -309,6 +344,65 @@ class TestCsvWriter:
             chunks = list(cli._csv(header, cols))
             assert len(chunks) == 1 + -(-n // block), f"block of {block}"
             assert "".join(chunks) == want, f"block of {block}"
+
+    @staticmethod
+    def hard_values(case):
+        """Values whose 17-digit text the kernel must get right or leave to
+        '%.17g': 1-d, in no particular order."""
+        rng = np.random.default_rng(17)
+        if case == "random-bits":
+            # every exponent, nan and inf patterns among them, and subnormals
+            bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+            bits[:5000] >>= np.uint64(12)       # sign and exponent 0: subnormal
+            return bits.view(np.float64)
+        if case == "powers-of-ten":
+            # 10**k and its neighbours 1 and 2 ulp either side, every k
+            base = np.array([float(f"1e{k}") for k in range(-323, 309)])
+            return np.concatenate([ulps_from(base, d) for d in range(-2, 3)])
+        if case == "ties":
+            # k * 2**-(17 - e), k odd, in [10**e, 10**(e+1)): 17 digits and a half
+            # (exactly: x * 10**(16 - e) is k * 5**(16 - e) / 2)
+            out = []
+            for e in range(-7, 16):
+                lo = math.ceil(10.0**e * 2.0**(17 - e))
+                hi = min(10**(e + 1) * 2**(17 - e), 2**53)
+                k = rng.integers(lo, hi, 200) | 1
+                x = np.ldexp(k.astype(float), e - 17)
+                assert (Fraction(x[0]) * Fraction(10) ** (16 - e)).denominator == 2
+                out.append(x)
+            return np.concatenate(out)
+        if case == "switch-points":
+            # either side of the fixed/exponent switches, far enough that a
+            # 17-digit round crosses them
+            base = np.array([1e-5, 1e-4, 1e16, 1e17])
+            return np.concatenate([ulps_from(base, d) for d in range(-40, 41)])
+        raise ValueError(case)
+
+    @pytest.mark.parametrize("case", ["random-bits", "powers-of-ten", "ties", "switch-points"])
+    def test_hard_values_match_the_per_value_reference(self, case):
+        x = self.hard_values(case)
+        if case != "random-bits":       # random bits carry both signs already
+            x = np.concatenate([x, -x])
+        x = np.concatenate([x, np.zeros(-len(x) % 5)])
+        cols = list(x.reshape(5, -1))
+        header = "a,b,c,d,e"
+        assert "".join(cli._csv(header, cols)) == orc.csv_text(header, zip(*cols))
+
+    def test_zero_and_non_finite_columns(self, monkeypatch):
+        # +0.0 throughout a block is written without the kernel, -0.0 and
+        # mixed signed zeros through it; nan and inf are left to '%.17g'
+        n = 20
+        plus, minus = np.zeros(n), np.full(n, -0.0)
+        mixed = np.where(np.arange(n) % 3, 0.0, -0.0)
+        late = np.zeros(n)
+        late[-3:] = [1.5, math.nan, -math.inf]    # +0.0 in all but its last block
+        edge = np.resize(EDGE_VALUES, n)
+        cols = [plus, minus, mixed, late, edge, plus]
+        header = ",".join(f"c{j}" for j in range(len(cols)))
+        want = orc.csv_text(header, zip(*cols))
+        for block in (1, 7, n):
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+            assert "".join(cli._csv(header, cols)) == want, f"block of {block}"
 
     def test_failed_stream_leaves_the_target_as_it_was(self, tmp_path):
         target = tmp_path / "w.csv"

@@ -115,6 +115,19 @@ class TestGrids:
         off = np.min(np.abs(g.times())) / g.dt
         assert off == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("offset", [1e7, -1e7, 1e8, -1e8])
+    def test_custom_times_whose_rounding_reaches_the_step_are_refused(self, offset):
+        # doubles near |t| are ulp apart: 6.2e-7 of the 3e-3 step at 1e7,
+        # 5.0e-6 at 1e8, against the limit of 2**-20 = 9.5e-7
+        t = np.linspace(-3, 3, 6001)
+        spec = PulseSpec.custom(t + offset, np.exp(-2 * t**2))
+        if abs(offset) < 1e8:
+            g = default_grid_for(spec)
+            assert math.ulp(max(abs(g.t_start), abs(g.t_end))) / g.dt < 2.0**-20
+        else:
+            with pytest.raises(PulseFileError, match="toward t = 0"):
+                default_grid_for(spec)
+
     def test_kink_falls_on_node(self):
         g = default_grid_for(PulseSpec.symmetric_exponential(0.8))
         assert np.min(np.abs(g.times())) < 1e-12
