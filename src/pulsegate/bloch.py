@@ -9,19 +9,20 @@ The coupled expectation values obey
 with the atom starting in the ground state (<s-> = 0, <sz> = -1/2) and
 `a` the coherent drive amplitude. Expanding in powers of `a` around the
 ground state turns this into a chain of driven linear relaxation
-equations:
+equations. Every dipole quantity here is stored as s/i, in the pulse's
+own dtype, which is real for a real pulse:
 
-    order a      d s1/dt = -Gamma s1 + i sqrt(2 Gamma) b_in
-    order |a|^2  sz2     = |s1|^2          (solves the sz equation exactly)
-    order a|a|^2 d s3/dt = -Gamma s3 - 2i sqrt(2 Gamma) b_in sz2
+    order a      d u/dt = -Gamma u + sqrt(2 Gamma) b_in          (u = s1/i)
+    order |a|^2  sz2    = |u|^2     (solves the sz equation exactly)
+    order a|a|^2 d w/dt = -Gamma w - 2 sqrt(2 Gamma) b_in sz2    (w = s3/i)
 
 so the third order is the linear response to the modified (saturation)
-drive -2 b_in |s1|^2. The linear equations are integrated with an
+drive -2 b_in |u|^2. The linear equations are integrated with an
 integrating-factor (exponential) scheme that is exact for drives that are
 linear on each grid segment: constant-drive segments of the rectangular
 pulse are integrated exactly, smooth drives at second order. The full
 nonlinear system, the brute-force oracle for the chain, is integrated with
-classical RK4 in v = <s->/i, which stays real for a real drive.
+classical RK4 in v = <s->/i.
 """
 
 from __future__ import annotations
@@ -55,17 +56,17 @@ class SystemParams:
 class ResponseChain:
     """Perturbative dipole solutions sharing one grid."""
 
-    first_order: ComplexSignal    # s1, order a
-    excitation: ComplexSignal     # sz2 = |s1|^2, order |a|^2, real >= 0
-    third_order: ComplexSignal    # s3, order a|a|^2
+    first_order: ComplexSignal    # u = s1/i, order a
+    excitation: ComplexSignal     # sz2 = |u|^2, order |a|^2, real >= 0
+    third_order: ComplexSignal    # w = s3/i, order a|a|^2
 
 
 @dataclass(frozen=True)
 class FullBlochState:
     """Trajectory of the full nonlinear system at drive amplitude alpha."""
 
-    sigma_minus: ComplexSignal
-    sigma_z: np.ndarray      # float64 <sz>(t), one sample per sigma_minus.grid point
+    v: ComplexSignal         # <s->/i, real for a real pulse and a real alpha
+    sigma_z: np.ndarray      # float64 <sz>(t), one sample per v.grid point
     alpha: complex
 
 
@@ -117,45 +118,42 @@ def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
 
 def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams(),
                     u_start: complex = 0.0) -> ComplexSignal:
-    """First-order dipole s1 = i u: causal response i sqrt(2 Gamma)
+    """First-order dipole u = s1/i: causal response sqrt(2 Gamma)
     integral exp(-Gamma (t-s)) b_in(s) ds, with u = u_start on the grid's
-    first node (0: the atom at rest there). u is integrated without the
-    factor i, so a real pulse runs in real arithmetic."""
+    first node (0: the atom at rest there)."""
     g = params.gamma
     u = decay_block(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt, s_prev=u_start)
-    return ComplexSignal(b_in.grid, 1j * u)
+    return ComplexSignal(b_in.grid, u)
 
 
-def second_order_excitation(sigma1: ComplexSignal) -> ComplexSignal:
-    """Excitation sz2 = |s1|^2 (the sz equation at order |a|^2 is solved
-    exactly by the squared magnitude of the first-order dipole)."""
-    v = sigma1.values
-    return ComplexSignal(sigma1.grid, (v * v.conj()).real)
+def second_order_excitation(u: ComplexSignal) -> ComplexSignal:
+    """Excitation sz2 = |u|^2 = |s1|^2 (the sz equation at order |a|^2 is
+    solved exactly by the squared magnitude of the first-order dipole)."""
+    v = u.values
+    return ComplexSignal(u.grid, (v * v.conj()).real)
 
 
 def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
                          params: SystemParams = SystemParams(),
                          w_start: complex = 0.0) -> ComplexSignal:
-    """Third-order dipole s3 = i w: linear response to the saturation drive
+    """Third-order dipole w = s3/i: linear response to the saturation drive
     -2 b_in sz2 (the excited fraction blocks absorption, hence the sign),
-    with w integrated without the factor i like s1's u, from w = w_start on
-    the grid's first node."""
+    from w = w_start on the grid's first node."""
     if b_in.grid != sigmaz2.grid:
         raise GridMismatchError("b_in and sigmaz2 must share a grid")
     g = params.gamma
     x = -2 * np.sqrt(2 * g) * b_in.values * sigmaz2.values.real
-    return ComplexSignal(b_in.grid, 1j * decay_block(x, g, b_in.grid.dt, s_prev=w_start))
+    return ComplexSignal(b_in.grid, decay_block(x, g, b_in.grid.dt, s_prev=w_start))
 
 
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams(),
                 start: tuple = (0.0, 0.0)) -> ResponseChain:
-    """Run the full perturbative chain s1 -> sz2 -> s3, from (u, w) =
-    (s1/i, s3/i) equal to `start` on the grid's first node; the default is
-    the ground state."""
-    s1 = linear_response(b_in, params, start[0])
-    sz2 = second_order_excitation(s1)
-    s3 = third_order_response(b_in, sz2, params, start[1])
-    return ResponseChain(s1, sz2, s3)
+    """Run the full perturbative chain u -> sz2 -> w, from (u, w) equal to
+    `start` on the grid's first node; the default is the ground state."""
+    u = linear_response(b_in, params, start[0])
+    sz2 = second_order_excitation(u)
+    w = third_order_response(b_in, sz2, params, start[1])
+    return ResponseChain(u, sz2, w)
 
 
 def _rk4_factor(h: float) -> float:
@@ -189,7 +187,7 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
                params: SystemParams = SystemParams()) -> FullBlochState:
     """Integrate the full nonlinear Bloch equations with classical RK4.
 
-    Returns <s->(t) as a ComplexSignal and <sz>(t) as a float64 array,
+    Returns v = <s->/i as a ComplexSignal and <sz>(t) as a float64 array,
     both sampled on b_in.grid. Raises StepInstabilityError if |<sz>|
     leaves [-1/2, 1/2] by more than 1e-6, the signature of a grid too
     coarse for the drive.
@@ -264,9 +262,7 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
         if len(bad):
             node = m + 1 + int(bad[0])
             raise _left_sphere(b_in.grid, node, float(sz[node]), alpha)
-    # <s-> = i v; 0.0 - imag keeps the real part +0.0 where v is real
-    sm = np.column_stack((0.0 - vs.imag, vs.real)).view(complex).ravel()
-    return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
+    return FullBlochState(ComplexSignal(b_in.grid, vs), sz, complex(alpha))
 
 
 def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
@@ -276,8 +272,8 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
     """Estimate the linear and cubic output pulse shapes from full
     nonlinear runs, independently of the perturbative chain.
 
-    For each amplitude a_k the full Bloch output b_out = a b_in +
-    i sqrt(2 Gamma) <s-> is computed (real for a real b_in), then
+    For each amplitude a_k the full Bloch output b_out = a b_in -
+    sqrt(2 Gamma) v, v = <s->/i, is computed (real for a real b_in), then
     b_out(a) = a b1 + a^3 b3 is fitted per time sample by least squares
     over the amplitude set, in one product with the design's pseudo-inverse.
     With deflate_fifth_order an a^5 column is added (and discarded), which
@@ -294,11 +290,7 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
         raise IllConditionedFitError(
             f"amplitudes must lie in (0, 0.1] for a clean cubic fit, got {alphas}")
     rt2g = np.sqrt(2 * params.gamma)
-    real = not np.iscomplexobj(b_in.values)
-    outs = []
-    for a in alphas:
-        s = full_bloch(b_in, a, params).sigma_minus.values
-        outs.append(a * b_in.values + (-rt2g * s.imag if real else 1j * rt2g * s))
+    outs = [a * b_in.values - rt2g * full_bloch(b_in, a, params).v.values for a in alphas]
     design = np.array([[a, a**3, a**5][:n_cols] for a in alphas])
     fit = np.linalg.lstsq(design, np.eye(len(alphas)), rcond=None)[0]  # lstsq's rank rule
     b1, b3 = fit[:2] @ np.asarray(outs)

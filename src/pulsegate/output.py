@@ -2,14 +2,16 @@
 
 For a lossless single-sided system the outgoing field is the incoming
 field plus the dipole radiation, b_out = a b_in + i sqrt(2 Gamma) <s->.
-Order by order in the drive amplitude this gives
+Order by order in the drive amplitude, with the dipole orders stored as
+u = s1/i and w = s3/i (bloch), this gives
 
-    b1 = b_in + i sqrt(2 Gamma) s1      (normalized: photon conservation)
-    b3 =        i sqrt(2 Gamma) s3
+    b1 = b_in - sqrt(2 Gamma) u      (normalized: photon conservation)
+    b3 =      - sqrt(2 Gamma) w
 
-so |b1|^2 integrates to 1 whenever the grid captures the full decay; a
-deviation beyond 1e-4 marks an inadequate span or step and is raised as
-an error rather than propagated into the two-photon amplitudes.
+in the pulse's own dtype, real for a real pulse. |b1|^2 integrates to 1
+whenever the grid captures the full decay; a deviation beyond 1e-4 marks
+an inadequate span or step and is raised as an error rather than
+propagated into the two-photon amplitudes.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def assemble_outputs(b_in: ComplexSignal, chain: ResponseChain,
     if chain.first_order.grid != b_in.grid:
         raise GridMismatchError("response chain was computed on a different grid")
     rt2g = np.sqrt(2 * params.gamma)
-    b1 = ComplexSignal(b_in.grid, b_in.values + 1j * rt2g * chain.first_order.values)
-    b3 = ComplexSignal(b_in.grid, 1j * rt2g * chain.third_order.values)
+    b1 = ComplexSignal(b_in.grid, b_in.values - rt2g * chain.first_order.values)
+    # 0.0 - keeps b3 +0.0 where w is zero (before the pulse), not -0.0
+    b3 = ComplexSignal(b_in.grid, 0.0 - rt2g * chain.third_order.values)
     check_linear_norm(norm_sq(b1))
     return OutputPair(b1, b3)
 

@@ -44,8 +44,7 @@ GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
 # change any sum they enter.
 SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
 GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
-# _halve_on_jumps halves the nodes closer than this many steps dt to a
-# jump; _leading_run keeps clear of the same reach
+# _halve_on_jumps halves the nodes closer than this many steps dt to a jump
 _JUMP_REACH = 1e-6
 
 
@@ -55,6 +54,12 @@ class PulseShape(str, enum.Enum):
     SYM_EXP = "sym-exp"
     GAUSSIAN = "gauss"
     CUSTOM = "custom"
+
+
+# T times the rate lam of the exponential C exp(lam t) that a pulse has
+# followed since t = -inf: the rising exponential up to its cutoff, the
+# symmetric exponential up to its kink. The other shapes start at rest.
+_LEAD_RATES = {PulseShape.RISING_EXP: 1.0, PulseShape.SYM_EXP: 2.0}
 
 
 @dataclass(frozen=True)
@@ -297,19 +302,14 @@ def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float
     return v
 
 
-def _leading_run(shape: PulseShape, T: float, grid: TimeGrid) -> Optional[float]:
-    """The rate lam of the run of nodes, from the grid's first, on which
-    `_builtin_values` is a single exponential C exp(lam t): the rising
-    exponential up to its cutoff (1/T, the node halved at the cutoff left
-    out) and the symmetric exponential up to t = 0 (2/T). None for the other
-    shapes, or if the run has fewer than two nodes."""
-    if shape is PulseShape.RISING_EXP:
-        end, lam = -_JUMP_REACH * grid.dt, 1.0 / T
-    elif shape is PulseShape.SYM_EXP:
-        end, lam = 0.0, 2.0 / T
-    else:
-        return None
-    return lam if _nodes_through(grid, end) > 1 else None
+def _leading_run(shape: PulseShape, T: float) -> Optional[float]:
+    """The rate lam of the exponential C exp(lam t) that the pulse has
+    followed since t = -inf (_LEAD_RATES), or None for a pulse that starts
+    at rest. Every grid of default_grid_for opens on that run with nodes to
+    spare: at least 24 before the rising exponential's cutoff and 25 at or
+    before the symmetric exponential's kink, samples_per_unit being >= 2."""
+    rate = _LEAD_RATES.get(shape)
+    return None if rate is None else rate / T
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:

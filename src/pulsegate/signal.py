@@ -50,10 +50,10 @@ class ComplexSignal:
     """Complex waveform sampled on a TimeGrid.
 
     Values are stored as float64 or complex128; a real dtype means the
-    imaginary part is identically zero. The four built-in pulses are
-    sampled in real storage; the dipole orders and the output modes
-    derived from them carry a factor i and are complex128, with imaginary
-    (or real) parts that are exactly zero for a real pulse on resonance.
+    imaginary part is identically zero. Every signal derived from a pulse
+    keeps the pulse's dtype: the four built-in pulses are real, and so are
+    their dipole orders (stored as s/i), outputs and modes; a complex
+    custom pulse gives complex128 throughout.
     """
 
     grid: TimeGrid
@@ -94,7 +94,8 @@ def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:
 
 
 def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:
-    """Trapezoid approximation of integral conj(f(t)) g(t) dt over the grid.
+    """Trapezoid approximation of integral conj(f(t)) g(t) dt over the grid,
+    a float if f and g are both real, else a complex.
 
     Conjugate-linear in f, linear in g; inner_product(f, f) is real and
     nonnegative up to rounding.
@@ -103,7 +104,7 @@ def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:
     a, b = f.values, g.values
     total = _dot(a, b)
     ends = 0.5 * np.conj(a[0]) * b[0] + 0.5 * np.conj(a[-1]) * b[-1]
-    return complex(f.grid.dt * (total - ends))
+    return (f.grid.dt * (total - ends)).item()
 
 
 def norm_sq(f: ComplexSignal) -> float:

@@ -34,7 +34,7 @@ from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GAUSS_DRIVE_END, SYM_EXP_DRIVE_END, GridPolicy,
-                     PulseShape, PulseSpec, _leading_run, _piece_values,
+                     PulseShape, PulseSpec, _LEAD_RATES, _leading_run, _piece_values,
                      default_grid_for, sample_pulse)
 from .signal import ComplexSignal, TimeGrid, require_finite
 from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, limit_report
@@ -42,9 +42,10 @@ from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, 
 GAMMA_T_MIN = 1e-3
 GAMMA_T_MAX = 1e4
 
-# solve_spec's traced peak is 104 bytes per node (the pulse, the dipole
-# orders and the outputs at 8-16 bytes each): 2**24 nodes is about 1.74 GB,
-# the most a 2-core / 7 GB machine is asked to hold.
+# solve_spec's traced peak is 56 bytes per node for a real pulse and 112
+# for a complex one (the pulse, the dipole orders and the outputs at 8 or
+# 16 bytes each): 2**24 nodes is about 0.94 or 1.88 GB, the most a
+# 2-core / 7 GB machine is asked to hold.
 WAVEFORM_NODE_BUDGET = 2**24
 # Polynomial degree on run_point's panels, each of _PANEL_DEGREE + 1
 # Chebyshev-Lobatto nodes: 16 already agrees with 28 within 1e-14 over
@@ -141,7 +142,7 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
     params = SystemParams()
     b_in = sample_pulse(spec, grid)
     start = (0.0, 0.0)
-    lam = _leading_run(spec.shape, spec.duration, grid)
+    lam = _leading_run(spec.shape, spec.duration)
     if lam is not None:
         # a leading run: the chain starts in its driven state
         start = _driven_state(lam, grid.dt, float(b_in.values[0]))
@@ -269,7 +270,7 @@ def _continuum_fields(spec: PulseSpec, degree: int = _PANEL_DEGREE) -> tuple:
     """
     shape, T = spec.shape, spec.duration
     rt2 = math.sqrt(2.0)
-    lam = {PulseShape.RISING_EXP: 1.0 / T, PulseShape.SYM_EXP: 2.0 / T}.get(shape, 0.0)
+    lam = _LEAD_RATES.get(shape, 0.0) / T
     a, e, first, cap = {
         PulseShape.RECTANGULAR: (-T, 0.0, min(0.25, T / 8.0), T),
         PulseShape.RISING_EXP: (0.0, 0.0, T, T),

@@ -117,9 +117,11 @@ def decompose(pair: OutputPair) -> OutputDecomposition:
     """
     b1, b3 = pair.linear, pair.cubic
     n1 = norm_sq(b1)
-    v, c11, c12_sq, cr_sq = amplitudes(n1, inner_product(b1, b3), norm_sq(b3))
+    b1_b3 = inner_product(b1, b3)
+    v, c11, c12_sq, cr_sq = amplitudes(n1, b1_b3, norm_sq(b3))
     psi1 = ComplexSignal(b1.grid, b1.values / math.sqrt(n1))
-    residual = ComplexSignal(b1.grid, b3.values - v * psi1.values)
+    # v in the pair's own dtype, so a real pair gives a real psi2
+    residual = ComplexSignal(b1.grid, b3.values - b1_b3 / math.sqrt(n1) * psi1.values)
     rho = math.sqrt(norm_sq(residual))
     psi2 = ComplexSignal(b1.grid, residual.values / rho) if rho > MODE_NORM_FLOOR else None
     return OutputDecomposition(psi1=psi1, psi2=psi2, c11=c11,

@@ -127,8 +127,9 @@ def bloch_steady_sz(omega):
 # -- the RK4 oracle stepped node by node in numpy scalars ---------------------
 
 def rk4_full_bloch(b_in, alpha, params=SystemParams()):
-    """`full_bloch` as first written: every node stepped by RK4, free
-    decay included, with numpy-scalar arithmetic."""
+    """`full_bloch` as first written: every node of <s-> stepped by RK4,
+    free decay included, with numpy-scalar arithmetic; returned as v = <s->/i
+    like `full_bloch`'s."""
     g = params.gamma
     dt = b_in.grid.dt
     n = b_in.grid.n
@@ -163,7 +164,16 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
                 f"{b_in.grid.t_start + (k + 1) * dt:.4f}; refine the grid "
                 f"or reduce |alpha|={abs(alpha):g}")
         sm[k + 1], sz[k + 1] = s, z
-    return FullBlochState(ComplexSignal(b_in.grid, sm), sz, complex(alpha))
+    # returned as v = <s->/i, exactly: real part s.imag, imaginary part
+    # -s.real, whose zeros 0.0 - keeps at +0.0 as full_bloch's v has them;
+    # a real pulse with a real alpha keeps <s-> imaginary, so v real
+    if not np.iscomplexobj(b_in.values) and complex(alpha).imag == 0:
+        assert not sm.real.any()
+        v = sm.imag.copy()
+    else:
+        v = np.empty(n, dtype=complex)
+        v.real, v.imag = sm.imag, 0.0 - sm.real
+    return FullBlochState(ComplexSignal(b_in.grid, v), sz, complex(alpha))
 
 
 # -- the Gram matrix with every drive-window node stepped -------------------

@@ -220,11 +220,12 @@ def test_criterion_8_excitation_identity(peaks, shape):
     spec = pg.PulseSpec(pg.PulseShape(shape), gt)
     grid = pg.default_grid_for(spec, policy)
     b = pg.sample_pulse(spec, grid)
-    s1 = pg.linear_response(b)
+    u = pg.linear_response(b)
+    s1 = 1j * u.values      # u = s1/i
     drive = pg.ComplexSignal(grid, 1j * math.sqrt(2.0) * (
-        b.values * np.conj(s1.values) - np.conj(b.values) * s1.values))
+        b.values * np.conj(s1) - np.conj(b.values) * s1))
     sz2_ode = pg.decaying_response(drive, rate=2.0)
-    dev = float(np.max(np.abs(sz2_ode.values - pg.second_order_excitation(s1).values)))
+    dev = float(np.max(np.abs(sz2_ode.values - pg.second_order_excitation(u).values)))
     print(f"criterion 8 [{shape}]: max |sz2_ode - |s1|^2| = {dev:.2e} (< 1e-8)")
     assert dev < 1e-8
 
@@ -235,8 +236,8 @@ def test_criterion_9_rect_closed_form():
     policy = pg.GridPolicy(samples_per_unit=6000)
     spec = pg.PulseSpec.rectangular(1.0)
     grid = pg.default_grid_for(spec, policy)
-    s1 = pg.linear_response(pg.sample_pulse(spec, grid))
-    dev = float(np.max(np.abs(s1.values - orc.rect_sigma1(grid.times(), 1.0))))
+    s1 = 1j * pg.linear_response(pg.sample_pulse(spec, grid)).values
+    dev = float(np.max(np.abs(s1 - orc.rect_sigma1(grid.times(), 1.0))))
     print(f"criterion 9: rect sigma1 max deviation = {dev:.2e} (< 1e-8)")
     assert dev < 1e-8
 

@@ -32,22 +32,22 @@ class TestLinearResponse:
 
     def test_rectangular_closed_form(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 1.0, FINE)
-        s1 = linear_response(b)
-        np.testing.assert_allclose(s1.values, orc.rect_sigma1(g.times(), 1.0), atol=1e-9)
+        s1 = 1j * linear_response(b).values     # u = s1/i
+        np.testing.assert_allclose(s1, orc.rect_sigma1(g.times(), 1.0), atol=1e-9)
 
     def test_rectangular_closed_form_other_duration(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 2.7, FINE)
-        s1 = linear_response(b)
-        np.testing.assert_allclose(s1.values, orc.rect_sigma1(g.times(), 2.7), atol=1e-8)
+        s1 = 1j * linear_response(b).values
+        np.testing.assert_allclose(s1, orc.rect_sigma1(g.times(), 2.7), atol=1e-8)
 
     def test_rising_exponential_closed_form(self):
         b, g = pulse_and_grid(PulseSpec.rising_exponential, 1.0, FINE)
-        s1 = linear_response(b)
+        s1 = 1j * linear_response(b).values
         t = g.times()
         # skip the start-up region where the truncated tail (1e-10 of the
         # pulse) still echoes; the closed form is i e^t at T=1
         m = t > t[0] + 10.0
-        np.testing.assert_allclose(s1.values[m], orc.rising_sigma1(t, 1.0)[m], atol=1e-8)
+        np.testing.assert_allclose(s1[m], orc.rising_sigma1(t, 1.0)[m], atol=1e-8)
 
     @given(re=st.floats(-3, 3), im=st.floats(-3, 3))
     @settings(max_examples=20, deadline=None)
@@ -62,7 +62,7 @@ class TestLinearResponse:
     def test_chained_blocks_are_bitwise_the_whole_array(self, block):
         b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
         x = np.sqrt(2.0) * b.values
-        u = linear_response(b).values.imag       # s1 = i u for a real pulse
+        u = linear_response(b).values
         got = [0.0]
         for a in range(1, len(x), block):
             got.extend(decay_block(x[a:a + block], 1.0, b.grid.dt, x[a - 1], got[-1]))
@@ -73,7 +73,7 @@ class TestLinearResponse:
         # continued from that node in that state
         b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
         x = np.sqrt(2.0) * b.values
-        u = linear_response(b, u_start=0.3).values.imag
+        u = linear_response(b, u_start=0.3).values
         assert u[0] == 0.3
         np.testing.assert_array_equal(u[1:], decay_block(x[1:], 1.0, b.grid.dt, x[0], 0.3))
 
@@ -98,9 +98,9 @@ class TestLinearResponse:
         spec = PulseSpec.rectangular(0.5)
         g = default_grid_for(spec)
         b = sample_pulse(spec, g)
-        s_fast = linear_response(b, SystemParams(gamma=2.0))
+        s_fast = 1j * linear_response(b, SystemParams(gamma=2.0)).values
         tau = 2.0 * g.times()  # scaled time gamma*t
-        np.testing.assert_allclose(s_fast.values, orc.rect_sigma1(tau, 1.0), atol=1e-6)
+        np.testing.assert_allclose(s_fast, orc.rect_sigma1(tau, 1.0), atol=1e-6)
 
 
 class TestSecondOrder:
@@ -124,11 +124,12 @@ class TestSecondOrder:
         # the sz equation at second order, integrated directly, must land
         # on |s1|^2: d sz2/dt = -2 sz2 + i sqrt2 (b s1* - b* s1)
         b, g = pulse_and_grid(make, T, GridPolicy(samples_per_unit=16000))
-        s1 = linear_response(b)
+        u = linear_response(b)
+        s1 = 1j * u.values
         drive = ComplexSignal(g, 1j * np.sqrt(2.0) * (
-            b.values * np.conj(s1.values) - np.conj(b.values) * s1.values))
+            b.values * np.conj(s1) - np.conj(b.values) * s1))
         sz2_ode = decaying_response(drive, rate=2.0)
-        sz2_alg = second_order_excitation(s1)
+        sz2_alg = second_order_excitation(u)
         assert np.max(np.abs(sz2_ode.values - sz2_alg.values)) < 1e-8
 
 
@@ -155,7 +156,7 @@ class TestThirdOrder:
     def test_rectangular_closed_form(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 1.0, FINE)
         chain = solve_chain(b)
-        np.testing.assert_allclose(chain.third_order.values,
+        np.testing.assert_allclose(1j * chain.third_order.values,     # w = s3/i
                                    orc.rect_sigma3_unit(g.times()), atol=1e-7)
 
     @pytest.mark.parametrize("make", [PulseSpec.rectangular, PulseSpec.rising_exponential,
@@ -165,9 +166,10 @@ class TestThirdOrder:
         # so the cubic field always counteracts the linear dipole field
         b, _ = pulse_and_grid(make, 1.0)
         chain = solve_chain(b)
-        em1 = (1j * chain.first_order.values).real
-        em3 = (1j * chain.third_order.values).real
-        assert np.max((1j * chain.first_order.values).imag) < 1e-12
+        s1, s3 = 1j * chain.first_order.values, 1j * chain.third_order.values
+        em1 = (1j * s1).real
+        em3 = (1j * s3).real
+        assert np.max((1j * s1).imag) < 1e-12
         assert np.max(em1) < 1e-10
         assert np.min(em3) > -1e-10
 
@@ -186,16 +188,16 @@ class TestFullBloch:
     def test_undriven_stays_in_ground_state(self):
         g = make_grid(0, 5, 301)
         state = full_bloch(ComplexSignal(g, np.zeros(g.n)), alpha=0.0)
-        assert not state.sigma_minus.values.any()
+        assert not state.v.values.any()
         np.testing.assert_allclose(state.sigma_z, -0.5, rtol=0, atol=0)
 
     def test_weak_drive_approaches_linear_response(self):
         b, _ = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=400))
-        s1 = linear_response(b)
+        s1 = 1j * linear_response(b).values
 
         def dev(alpha):
             st = full_bloch(b, alpha)
-            return np.max(np.abs(st.sigma_minus.values / alpha - s1.values))
+            return np.max(np.abs(1j * st.v.values / alpha - s1))
 
         d1, d2 = dev(0.02), dev(0.01)
         # deviation is O(alpha^2): quartering expected when halving alpha
@@ -216,7 +218,7 @@ class TestFullBloch:
         b, _ = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=400))
         state = full_bloch(b, 0.3)
         assert (np.abs(state.sigma_z) <= 0.5 + 1e-9).all()
-        assert (np.abs(state.sigma_minus.values) <= 0.5 + 1e-9).all()
+        assert (np.abs(1j * state.v.values) <= 0.5 + 1e-9).all()
 
     def test_coarse_grid_instability_detected(self):
         spec = PulseSpec.rectangular(50.0)
@@ -261,7 +263,7 @@ class TestFullBlochAgainstStepping:
         zb, _ = _scaled_drive(b.values, complex(alpha))
         assert {type(d) for d in zb} == {float if real else complex}
         new, ref = full_bloch(b, alpha), orc.rk4_full_bloch(b, alpha)
-        s, s_ref = new.sigma_minus.values, ref.sigma_minus.values
+        s, s_ref = new.v.values, ref.v.values
         # the node after the last driven one ends the loop
         m = min(np.flatnonzero(alpha * b.values)[-1] + 1, b.grid.n - 1) + 1
         assert s[:m].tobytes() == s_ref[:m].tobytes()
@@ -288,7 +290,7 @@ class TestFullBlochAgainstStepping:
         g = make_grid(-3.0, 1997.0, 1001)
         b = ComplexSignal(g, np.exp(-g.times() ** 2))
         state = full_bloch(b, 0.0)
-        assert not state.sigma_minus.values.any()
+        assert not state.v.values.any()
         assert (state.sigma_z == -0.5).all()
 
 
@@ -296,8 +298,9 @@ class TestPerturbativeExtraction:
     def test_matches_chain(self):
         b, g = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=1000))
         chain = solve_chain(b)
-        b1 = ComplexSignal(g, b.values + 1j * np.sqrt(2.0) * chain.first_order.values)
-        b3 = ComplexSignal(g, 1j * np.sqrt(2.0) * chain.third_order.values)
+        s1, s3 = 1j * chain.first_order.values, 1j * chain.third_order.values
+        b1 = ComplexSignal(g, b.values + 1j * np.sqrt(2.0) * s1)
+        b3 = ComplexSignal(g, 1j * np.sqrt(2.0) * s3)
         e1, e3 = perturbative_extraction(b, SystemParams(), [0.02, 0.04, 0.06])
         rel1 = np.sqrt(norm_sq(ComplexSignal(g, e1.values - b1.values)) / norm_sq(b1))
         rel3 = np.sqrt(norm_sq(ComplexSignal(g, e3.values - b3.values)) / norm_sq(b3))
@@ -308,7 +311,7 @@ class TestPerturbativeExtraction:
     def test_quintic_deflation_sharpens_cubic_estimate(self):
         b, g = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=1000))
         chain = solve_chain(b)
-        b3 = ComplexSignal(g, 1j * np.sqrt(2.0) * chain.third_order.values)
+        b3 = ComplexSignal(g, 1j * np.sqrt(2.0) * (1j * chain.third_order.values))
         _, e3 = perturbative_extraction(b, SystemParams(), [0.02, 0.04, 0.06],
                                         deflate_fifth_order=True)
         rel3 = np.sqrt(norm_sq(ComplexSignal(g, e3.values - b3.values)) / norm_sq(b3))
@@ -362,8 +365,8 @@ class TestAmplitudeFit:
 
         def exact(b_in, alpha, params=SystemParams()):
             out = alpha * b1 + alpha**3 * b3 + alpha**5 * b5
-            s = (out - alpha * b_in.values) / (1j * np.sqrt(2 * params.gamma))
-            return FullBlochState(ComplexSignal(b_in.grid, s), np.full(b_in.grid.n, -0.5),
+            v = (alpha * b_in.values - out) / np.sqrt(2 * params.gamma)   # <s->/i
+            return FullBlochState(ComplexSignal(b_in.grid, v), np.full(b_in.grid.n, -0.5),
                                   complex(alpha))
 
         monkeypatch.setattr(bloch, "full_bloch", exact)
@@ -381,7 +384,7 @@ class TestAmplitudeFit:
 
         def recording(b_in, alpha, params=SystemParams()):
             state = full_bloch(b_in, alpha, params)
-            outs.append(alpha * b_in.values + 1j * np.sqrt(2.0) * state.sigma_minus.values)
+            outs.append(alpha * b_in.values + 1j * np.sqrt(2.0) * (1j * state.v.values))
             return state
 
         monkeypatch.setattr(bloch, "full_bloch", recording)

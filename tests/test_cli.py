@@ -308,8 +308,8 @@ class TestWaveformFiles:
 
     @pytest.mark.parametrize("shape", ["rect", "rising-exp", "sym-exp", "gauss"])
     def test_files_match_the_per_value_reference(self, shape, tmp_path):
-        # b_in_im, b1_im and psi1_im are +0.0 throughout (written without the
-        # kernel); b3_im and psi2_im hold -0.0, alone or mixed with +0.0
+        # a real pulse: every _im column is +0.0 throughout (written without
+        # the kernel)
         args = ["--shape", shape, "--gamma-t", "1", *FAST, "--stride", "1"]
         run("respond", *args, "--out", tmp_path / "r")
         run("modes", *args, "--out", tmp_path / "m.csv")
@@ -327,6 +327,22 @@ class TestWaveformFiles:
         assert text.count("\n") == sol.grid.n + 1
         assert_same_text(text, signals)
         assert_same_text((tmp_path / "m.csv").read_text(), modes)
+
+    @pytest.mark.parametrize("shape, gt", [("rect", 1.557), ("rising-exp", 1.0),
+                                           ("sym-exp", 0.789), ("gauss", 0.799)])
+    def test_real_pulse_writes_no_negative_zero(self, shape, gt, tmp_path):
+        # real waveforms: every _im field of respond and modes is 0, and no
+        # field of either file is -0
+        args = ["--shape", shape, "--gamma-t", gt, "--stride", "1"]
+        assert run("respond", *args, "--out", tmp_path / "r") == 0
+        assert run("modes", *args, "--out", tmp_path / "m.csv") == 0
+        for name in ("r.signals.csv", "m.csv"):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            im = [k for k, col in enumerate(header.split(",")) if col.endswith("_im")]
+            assert len(im) == (5 if name == "r.signals.csv" else 2)
+            for row in rows:
+                fields = row.split(",")
+                assert all(fields[k] == "0" for k in im) and "-0" not in fields, row
 
 
 class TestCsvWriter:

@@ -91,7 +91,7 @@ class TestSemiclassicalOutput:
         b, _, pair = solve_pair(make, 1.0, policy)
         alpha = 0.05
         state = full_bloch(b, alpha)
-        full_out = alpha * b.values + 1j * np.sqrt(2.0) * state.sigma_minus.values
+        full_out = alpha * b.values + 1j * np.sqrt(2.0) * (1j * state.v.values)
         trunc = semiclassical_output(pair, alpha).values
         diff = ComplexSignal(b.grid, full_out - trunc)
         rel = np.sqrt(norm_sq(diff) / norm_sq(ComplexSignal(b.grid, full_out)))

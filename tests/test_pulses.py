@@ -254,7 +254,7 @@ class TestExponentialRuns:
             grid = make_grid(t0, t0 + dt * (n - 1), n)
         t = grid.times()
         b = _builtin_values(shape, T, t, grid.dt)
-        lam = _leading_run(shape, T, grid)
+        lam = _leading_run(shape, T)
         if shape is PulseShape.RECTANGULAR:
             assert lam is None and b[0] == 0.0
             return
@@ -272,8 +272,7 @@ class TestExponentialRuns:
     def test_halved_nodes_stay_out_of_runs(self, T, dt, t0, monkeypatch):
         # a wider reach of _halve_on_jumps, which on the 1.557 grid halves
         # the node 0.35 dt before the cutoff: the rising exponential's run
-        # ends before its halved nodes, and a grid whose only node before
-        # the cutoff is halved opens on no run
+        # ends before its halved nodes
         monkeypatch.setattr(pulses, "_JUMP_REACH", 0.4)
         amp = math.sqrt(2.0 / T)
         n = int((T + 2 - t0) / dt) + 3
@@ -281,17 +280,14 @@ class TestExponentialRuns:
         t = grid.times()
         b = _builtin_values(PulseShape.RISING_EXP, T, t, grid.dt)
         halved = np.flatnonzero(b == 0.5 * amp)
-        assert _leading_run(PulseShape.RISING_EXP, T, grid) == 1.0 / T
+        assert _leading_run(PulseShape.RISING_EXP, T) == 1.0 / T
         np.testing.assert_allclose(b[:halved[0]], amp * np.exp(t[:halved[0]] / T),
                                    rtol=1e-12, atol=0)
-        late = make_grid(-0.3 * dt, 3.7 * dt, 5)
-        assert _builtin_values(PulseShape.RISING_EXP, T, late.times(), dt)[0] == 0.5 * amp
-        assert _leading_run(PulseShape.RISING_EXP, T, late) is None
 
     @pytest.mark.parametrize("spec", [PulseSpec.gaussian(2.0),
                                       PulseSpec.custom(np.linspace(-1, 1, 5), np.ones(5))])
     def test_gauss_and_custom_have_none(self, spec):
-        assert _leading_run(spec.shape, spec.duration, default_grid_for(spec)) is None
+        assert _leading_run(spec.shape, spec.duration) is None
 
 
 class TestCustomPulses:

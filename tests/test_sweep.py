@@ -18,11 +18,11 @@ from scipy.special import erfcx
 
 import pulsegate
 from pulsegate import twophoton
-from pulsegate import (ConfigError, DurationRangeError, GridPolicy,
+from pulsegate import (ComplexSignal, ConfigError, DurationRangeError, GridPolicy,
                        NoPeakError, NormViolationError, PulseShape, PulseSpec, SolverError,
-                       default_grid_for, find_peak_c12,
-                       inner_product, mode_shapes_at, norm_sq, run_point,
-                       sample_pulse, solve_point, solve_spec, sweep)
+                       SystemParams, assemble_outputs, default_grid_for, find_peak_c12,
+                       inner_product, mode_shapes_at, norm_sq, perturbative_extraction,
+                       run_point, sample_pulse, solve_point, solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
 from pulsegate.sweep import _PANEL_DEGREE
 
@@ -390,6 +390,58 @@ class TestDriveWindow:
         row = run_point("rising-exp", gt)
         assert abs(row.c12_sq - orc.rising_c12_sq(gt)) <= 1e-5
         assert abs(complex(row.overlap_re, row.overlap_im) - orc.rising_overlap(gt)) <= 1e-5
+
+
+class TestDipoleStorage:
+    """The chain stores u = s1/i and w = s3/i in the pulse's own dtype, and
+    the outputs are b1 = b - sqrt(2) u and b3 = -sqrt(2) w."""
+
+    @staticmethod
+    def solve(monkeypatch, spec, *policy):
+        """solve_spec, and the response chain it assembled its outputs from."""
+        chains = []
+
+        def recording(b_in, chain, *args):
+            chains.append(chain)
+            return assemble_outputs(b_in, chain, *args)
+        monkeypatch.setattr(sweep_module, "assemble_outputs", recording)
+        return solve_spec(spec, *policy), chains[0]
+
+    @staticmethod
+    def check_outputs(sol, chain, dtype):
+        d = sol.decomposition
+        b, u, w = sol.b_in.values, chain.first_order.values, chain.third_order.values
+        for sig in (sol.b_in, chain.first_order, chain.third_order, sol.pair.linear,
+                    sol.pair.cubic, d.psi1, d.psi2):
+            assert sig.values.dtype == dtype
+        rt2 = math.sqrt(2.0)
+        assert sol.pair.linear.values.tobytes() == (b - rt2 * u).tobytes()
+        # -sqrt(2) w, with the zeros before the pulse written +0.0
+        assert np.array_equal(sol.pair.cubic.values, -rt2 * w)
+        assert sol.pair.cubic.values.tobytes() == (0.0 - rt2 * w).tobytes()
+
+    @pytest.mark.parametrize("shape", BUILTIN)
+    @pytest.mark.parametrize("gt", ["peak", 0.01, 100.0])
+    def test_real_pulse_gives_real_waveforms(self, shape, gt, monkeypatch):
+        gt = PEAKS[shape][0] if gt == "peak" else gt
+        sol, chain = self.solve(monkeypatch, PulseSpec(PulseShape(shape), gt))
+        self.check_outputs(sol, chain, np.float64)
+
+    def test_complex_pulse_stays_complex_and_matches_the_oracle(self, tmp_path, monkeypatch):
+        # a chirped gaussian read from a (t, re, im) file, on criterion 8's grid
+        t = np.linspace(-3.0, 3.0, 601)
+        v = np.exp(-t**2) * np.exp(1j * (0.8 * t + 0.3 * t**2))
+        path = tmp_path / "chirp.txt"
+        np.savetxt(path, np.column_stack((t, v.real, v.imag)))
+        sol, chain = self.solve(monkeypatch, PulseSpec.from_file(path),
+                                GridPolicy(samples_per_unit=2000))
+        self.check_outputs(sol, chain, np.complex128)
+        # criterion 8's check of the chain against the RK4 oracle
+        e1, e3 = perturbative_extraction(sol.b_in, SystemParams(), [0.02, 0.04, 0.06],
+                                         deflate_fifth_order=True)
+        for est, ref in ((e1, sol.pair.linear), (e3, sol.pair.cubic)):
+            err = norm_sq(ComplexSignal(sol.grid, est.values - ref.values))
+            assert math.sqrt(err / norm_sq(ref)) < 1e-3
 
 
 def row_fields(row):
@@ -767,8 +819,8 @@ class TestWaveformNodeBudget:
         assert grid.n <= sweep_module.WAVEFORM_NODE_BUDGET
 
     def test_solve_peak_memory_per_node(self):
-        # the figure WAVEFORM_NODE_BUDGET is sized by: 104 bytes per node
-        spec = PulseSpec.rectangular(0.1)     # 205k nodes
+        # the figure WAVEFORM_NODE_BUDGET is sized by: 56 bytes per node
+        spec = PulseSpec.rectangular(0.1)     # 206k nodes
         solve_spec(spec)                      # warm caches and lazy imports
         tracemalloc.start()
         try:
@@ -776,7 +828,7 @@ class TestWaveformNodeBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 112 * default_grid_for(spec).n
+        assert peak <= 64 * default_grid_for(spec).n
 
     def test_refused_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
