@@ -87,6 +87,22 @@ def _etd_weights(rate: float, h: float) -> tuple[float, float, float]:
     return float(E), float(w0), float(w1)
 
 
+def _driven_state(lam: float, dt: float, b, gamma: float) -> tuple:
+    """(u, w) at a node where the pulse is b, on a run b = C exp(lam t),
+    lam > 0, since t = -inf: the particular solutions u = c x1 and w = d x3
+    of the ETD recurrences at rate gamma (weights E, w0, w1), whose drives
+    x1 = sqrt(2 gamma) b and x3 = -2 sqrt(2 gamma) b |u|^2 change by
+    rho = exp(lam dt) and rho^3 per node: c = (w0 + w1 rho) / (rho - E),
+    d = (w0 + w1 rho^3) / (rho^3 - E)."""
+    E, w0, w1 = _etd_weights(gamma, dt)
+    rho = math.exp(lam * dt)
+    r = math.sqrt(2.0 * gamma)
+    # rho - E and rho^3 - E without cancellation: 1 - E is exact
+    u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * (r * b)
+    x3 = -2.0 * r * b * (u * u.conjugate()).real
+    return u, (w0 + w1 * rho**3) / (math.expm1(3.0 * lam * dt) + (1.0 - E)) * x3
+
+
 def decay_block(x: np.ndarray, rate: float, dt: float, x_prev=None,
                 s_prev=0.0) -> np.ndarray:
     """The recurrence s_{n+1} = E s_n + w0 x_n + w1 x_{n+1} of
@@ -147,9 +163,15 @@ def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
 
 
 def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams(),
-                start: tuple = (0.0, 0.0)) -> ResponseChain:
-    """Run the full perturbative chain u -> sz2 -> w, from (u, w) equal to
-    `start` on the grid's first node; the default is the ground state."""
+                lead_rate: float = 0.0) -> ResponseChain:
+    """Run the full perturbative chain u -> sz2 -> w. With lead_rate 0 it
+    starts in the ground state on the grid's first node. A lead_rate lam
+    > 0 says that the pulse has been C exp(lam t) since t = -inf, through
+    the first two nodes at least: the chain then starts in that run's
+    driven state (_driven_state), with no transient."""
+    start = (0.0, 0.0)
+    if lead_rate:
+        start = _driven_state(lead_rate, b_in.grid.dt, b_in.values[0].item(), params.gamma)
     u = linear_response(b_in, params, start[0])
     sz2 = second_order_excitation(u)
     w = third_order_response(b_in, sz2, params, start[1])

@@ -19,6 +19,10 @@ order; a jump sitting on a node would instead leave an O(dt) error in
 every quadratic functional of the signal and is not salvageable by any
 choice of node value. Kinks without a value jump (symmetric exponential)
 sit on nodes, where one-sided interpolation is exact.
+
+Each built-in shape's breakpoints are stated once, in its Geometry record
+(GEOMETRY), which the spec, the sampler, the grid layout, sweep's
+continuum panels and the chain's driven start all read.
 """
 
 from __future__ import annotations
@@ -37,14 +41,11 @@ from .signal import ComplexSignal, TimeGrid, make_grid, norm_sq
 # Leading cutoff for the rising exponential: |b(t)|^2 integrated below the
 # cutoff is 1e-10 of the pulse, i.e. exp(2 t/T) = 1e-10.
 RISING_LEAD_FACTOR = 0.5 * math.log(1e10)  # 11.5129...
-SYM_EXP_EXTENT = 6.0   # +-6T: truncated tail weight 0.5*exp(-24) ~ 1.9e-11
-GAUSS_EXTENT = 3.0     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
-# The symmetric-exponential and gaussian formulas never reach zero; past
-# these multiples of T they are below 2^-53 of their peak, too small to
-# change any sum they enter.
+# T times where the sym-exp and gauss formulas, which never reach 0, fall
+# to 2^-53 of their peak, too small to change any sum they enter
 SYM_EXP_DRIVE_END = 0.5 * math.log(2.0**53)            # 18.37
 GAUSS_DRIVE_END = math.sqrt(0.5 * math.log(2.0**53))   # 4.29
-# _halve_on_jumps halves the nodes closer than this many steps dt to a jump
+# a node closer than this many steps dt to a jump takes the jump's mean value
 _JUMP_REACH = 1e-6
 
 
@@ -56,10 +57,40 @@ class PulseShape(str, enum.Enum):
     CUSTOM = "custom"
 
 
-# T times the rate lam of the exponential C exp(lam t) that a pulse has
-# followed since t = -inf: the rising exponential up to its cutoff, the
-# symmetric exponential up to its kink. The other shapes start at rest.
-_LEAD_RATES = {PulseShape.RISING_EXP: 1.0, PulseShape.SYM_EXP: 2.0}
+@dataclass(frozen=True)
+class Geometry:
+    """Where a built-in pulse's formula (_piece_values) holds and breaks,
+    in units of its duration T:
+
+    on         where the formula holds; the pulse is 0 outside, and a finite
+               end is a jump, sampled as the mean of its two limits
+    support    the window a grid must cover (check_span)
+    drive_end  past it the pulse stays below 2^-53 of its peak
+    lead_rate  T lam of the exponential C exp(lam t) that the pulse has
+               followed since t = -inf up to piece[0], or 0 for a pulse at
+               rest there; a lead that ends inside `on` ends on a kink
+    piece      the smooth piece that the continuum panels tile
+    """
+
+    on: tuple[float, float]
+    support: tuple[float, float]
+    drive_end: float
+    lead_rate: float
+    piece: tuple[float, float]
+
+
+GEOMETRY = {
+    PulseShape.RECTANGULAR: Geometry((-1.0, 0.0), (-1.0, 0.0), 0.0, 0.0, (-1.0, 0.0)),
+    # the lead is the whole pulse; its piece is the cutoff, one instant
+    PulseShape.RISING_EXP: Geometry((-math.inf, 0.0), (-RISING_LEAD_FACTOR, 0.0), 0.0, 1.0,
+                                    (0.0, 0.0)),
+    # +-6T: truncated tail weight 0.5*exp(-24) ~ 1.9e-11; the lead ends on the kink
+    PulseShape.SYM_EXP: Geometry((-math.inf, math.inf), (-6.0, 6.0), SYM_EXP_DRIVE_END, 2.0,
+                                 (0.0, SYM_EXP_DRIVE_END)),
+    # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
+    PulseShape.GAUSSIAN: Geometry((-math.inf, math.inf), (-3.0, 3.0), GAUSS_DRIVE_END, 0.0,
+                                  (-GAUSS_DRIVE_END, GAUSS_DRIVE_END)),
+}
 
 
 @dataclass(frozen=True)
@@ -78,12 +109,14 @@ class GridPolicy:
     lead_pad: float = 0.5
     tail: float = 20.0
 
-    def step_for(self, duration: float, refine: int = 1) -> float:
+    def __post_init__(self):
         if self.samples_per_unit < 2:
             raise ConfigError(f"samples_per_unit={self.samples_per_unit} too small")
         if not (0 <= self.lead_pad < math.inf and 0 < self.tail < math.inf):
             raise ConfigError("lead_pad must be finite and >= 0, tail finite and > 0; "
                               f"got lead_pad={self.lead_pad}, tail={self.tail}")
+
+    def step_for(self, duration: float, refine: int = 1) -> float:
         return min(duration, 3.0) / (self.samples_per_unit * refine)
 
 
@@ -104,10 +137,21 @@ class PulseSpec:
     custom_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        t, v = self.custom_t, self.custom_values
+        if self.shape is not PulseShape.CUSTOM:
+            if t is not None or v is not None:
+                raise ConfigError("custom samples go with shape='custom' only")
+        elif t is None or v is None or np.ndim(t) != 1 or len(t) < 2 or np.shape(v) != np.shape(t):
+            raise PulseFileError("custom pulse needs matching 1-d t and value arrays "
+                                 "of at least 2 samples")
+        elif not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise PulseFileError("custom pulse contains non-finite samples")
+        elif not (np.diff(t) > 0).all():
+            raise PulseFileError("custom pulse times must be strictly ascending")
+        elif not np.any(v):
+            raise PulseFileError("custom pulse is identically zero")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ConfigError(f"pulse duration must be positive, got {self.duration}")
-        if (self.shape is PulseShape.CUSTOM) != (self.custom_t is not None):
-            raise ConfigError("custom samples go with shape='custom' only")
 
     @classmethod
     def rectangular(cls, duration: float) -> "PulseSpec":
@@ -128,16 +172,9 @@ class PulseSpec:
     @classmethod
     def custom(cls, t: np.ndarray, values: np.ndarray) -> "PulseSpec":
         t = np.asarray(t, dtype=float)
-        v = np.asarray(values)
-        if t.ndim != 1 or len(t) < 2 or v.shape != t.shape:
-            raise PulseFileError("custom pulse needs matching 1-d t and value arrays")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise PulseFileError("custom pulse contains non-finite samples")
-        if not (np.diff(t) > 0).all():
-            raise PulseFileError("custom pulse times must be strictly ascending")
-        if not np.any(v):
-            raise PulseFileError("custom pulse is identically zero")
-        return cls(PulseShape.CUSTOM, float(t[-1] - t[0]), t, v)
+        # a t with no span gets a stand-in, which __post_init__ refuses with t
+        span = t[-1] - t[0] if t.ndim == 1 and len(t) > 1 else 1.0
+        return cls(PulseShape.CUSTOM, float(span), t, np.asarray(values))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PulseSpec":
@@ -146,26 +183,16 @@ class PulseSpec:
 
     def support(self) -> tuple[float, float]:
         """Window outside which the pulse is (numerically) zero."""
-        T = self.duration
-        if self.shape is PulseShape.RECTANGULAR:
-            return (-T, 0.0)
-        if self.shape is PulseShape.RISING_EXP:
-            return (-RISING_LEAD_FACTOR * T, 0.0)
-        if self.shape is PulseShape.SYM_EXP:
-            return (-SYM_EXP_EXTENT * T, SYM_EXP_EXTENT * T)
-        if self.shape is PulseShape.GAUSSIAN:
-            return (-GAUSS_EXTENT * T, GAUSS_EXTENT * T)
-        return (float(self.custom_t[0]), float(self.custom_t[-1]))
+        if self.shape is PulseShape.CUSTOM:
+            return (float(self.custom_t[0]), float(self.custom_t[-1]))
+        return tuple(self.duration * x for x in GEOMETRY[self.shape].support)
 
     def drive_end(self) -> float:
-        """Last instant at which the sampled pulse can be nonzero in double
-        precision: the trailing edge of the rectangular and rising-exponential
-        pulses, the last custom sample."""
-        if self.shape is PulseShape.SYM_EXP:
-            return SYM_EXP_DRIVE_END * self.duration
-        if self.shape is PulseShape.GAUSSIAN:
-            return GAUSS_DRIVE_END * self.duration
-        return self.support()[1]
+        """Instant past which the pulse is below 2^-53 of its peak (for a
+        custom pulse, its last sample)."""
+        if self.shape is PulseShape.CUSTOM:
+            return float(self.custom_t[-1])
+        return self.duration * GEOMETRY[self.shape].drive_end
 
 
 def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -211,17 +238,9 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
     """Grid covering the pulse plus its decay tail, anchored so that the
     pulse discontinuities land at segment midpoints (see module docstring)."""
     T = spec.duration
-    dt = policy.step_for(T, 2 if spec.shape is PulseShape.SYM_EXP else 1)
     lo, hi = spec.support()
-
-    if spec.shape is PulseShape.RECTANGULAR:
-        m = _steps(T / dt)            # in-pulse samples; edges mid-segment
-        dt = T / m
-        n_lead = _steps(policy.lead_pad / dt + 0.5)
-        n_tail = _steps(policy.tail / dt + 0.5)
-        t_start = -T - (n_lead - 0.5) * dt
-        n = n_lead + m + n_tail
-    elif spec.shape is PulseShape.CUSTOM:
+    if spec.shape is PulseShape.CUSTOM:
+        dt = policy.step_for(T)
         span = (hi + policy.tail) - (lo - policy.lead_pad)
         n = _steps(span / dt) + 1
         t_start = lo - policy.lead_pad
@@ -235,28 +254,28 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
                 f"{math.ulp(edge):.3g} apart, over 2**-20 of the grid step "
                 f"{grid.dt:.3g}; shift the times toward t = 0")
         return grid
+
+    geo = GEOMETRY[spec.shape]
+    # a lead that ends inside `on` ends on a kink (the symmetric exponential's)
+    dt = policy.step_for(T, 2 if geo.lead_rate and geo.piece[0] < geo.on[1] else 1)
+    if spec.shape is PulseShape.RECTANGULAR:
+        m = _steps(T / dt)            # in-pulse samples; edges mid-segment
+        dt = T / m
+        n_lead = _steps(policy.lead_pad / dt + 0.5)
+        n_tail = _steps(policy.tail / dt + 0.5)
+        t_start = -T - (n_lead - 0.5) * dt
+        n = n_lead + m + n_tail
     else:
-        # nodes at (k + h) dt: t = 0 mid-segment where it is a jump (the
-        # rising exponential's cutoff), on a node where it is a kink or a
-        # centre (symmetric exponential, gaussian)
-        h = 0.5 if spec.shape is PulseShape.RISING_EXP else 0.0
+        # nodes at (k + h) dt: t = 0 mid-segment where it is a jump (`on`
+        # ends there: the rising exponential's cutoff), on a node where it
+        # is a kink or a centre (symmetric exponential, gaussian)
+        h = 0.5 if geo.on[1] == 0.0 else 0.0
         n_left = _steps((-lo + policy.lead_pad) / dt + h)
         n_right = _steps((hi + policy.tail) / dt + h)
         t_start = -(n_left - h) * dt
         n = n_left + n_right + int(h == 0.0)     # and the node on t = 0, if any
 
     return make_grid(t_start, t_start + (n - 1) * dt, n)
-
-
-def _nodes_through(grid: TimeGrid, t: float) -> int:
-    """Number of grid nodes at or before time t, which is the index of the
-    first node strictly past t (grid.n if there is none), with node times
-    computed exactly as TimeGrid.times does."""
-    # start just below the estimate, then step to the first node past t
-    i = min(max(math.floor((t - grid.t_start) / grid.dt) - 1, 0), grid.n)
-    while i < grid.n and grid.t_start + grid.dt * i <= t:
-        i += 1
-    return i
 
 
 def _piece_values(shape: PulseShape, T: float, t: np.ndarray) -> np.ndarray:
@@ -277,39 +296,18 @@ def _piece_values(shape: PulseShape, T: float, t: np.ndarray) -> np.ndarray:
 
 def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np.ndarray:
     """Built-in pulse sampled at the ascending times t (any run of a grid's
-    nodes, step dt). The jumps of the rectangular and rising-exponential
-    pulses are located by binary search, which needs t ascending."""
-    if shape is PulseShape.RECTANGULAR:
-        v = np.zeros(len(t))
-        lo, hi = np.searchsorted(t, -T, "right"), np.searchsorted(t, 0.0)
-        v[lo:hi] = _piece_values(shape, T, t[lo:hi])
-        return _halve_on_jumps(v, t, dt, (-T, 0.0), 0.5 / math.sqrt(T))
-    if shape is PulseShape.RISING_EXP:
-        v = np.zeros(len(t))
-        i0 = np.searchsorted(t, 0.0)
-        v[:i0] = _piece_values(shape, T, t[:i0])
-        return _halve_on_jumps(v, t, dt, (0.0,), 0.5 * math.sqrt(2.0 / T))
-    return _piece_values(shape, T, t)
-
-
-def _halve_on_jumps(v: np.ndarray, t: np.ndarray, dt: float, jumps, value: float) -> np.ndarray:
-    """Set v to `value`, the mean of the two one-sided limits, at every node
-    within _JUMP_REACH dt of a jump; only the nodes within dt of it are tested."""
-    for tj in jumps:
-        lo, hi = np.searchsorted(t, (tj - dt, tj + dt))
-        near = v[lo:hi]
-        near[np.abs(t[lo:hi] - tj) < _JUMP_REACH * dt] = value
+    nodes, step dt): the formula inside `on`, 0 outside, and the mean of the
+    two limits at every node within _JUMP_REACH dt of a jump (a finite end
+    of `on`). The ends are found by binary search, which needs t ascending."""
+    ends = [T * x for x in GEOMETRY[shape].on]
+    lo, hi = np.searchsorted(t, ends[0], "right"), np.searchsorted(t, ends[1])
+    v = np.zeros(len(t))
+    v[lo:hi] = _piece_values(shape, T, t[lo:hi])
+    for tj in filter(math.isfinite, ends):
+        i, j = np.searchsorted(t, (tj - dt, tj + dt))
+        near = v[i:j]
+        near[np.abs(t[i:j] - tj) < _JUMP_REACH * dt] = 0.5 * _piece_values(shape, T, tj)
     return v
-
-
-def _leading_run(shape: PulseShape, T: float) -> Optional[float]:
-    """The rate lam of the exponential C exp(lam t) that the pulse has
-    followed since t = -inf (_LEAD_RATES), or None for a pulse that starts
-    at rest. Every grid of default_grid_for opens on that run with nodes to
-    spare: at least 24 before the rising exponential's cutoff and 25 at or
-    before the symmetric exponential's kink, samples_per_unit being >= 2."""
-    rate = _LEAD_RATES.get(shape)
-    return None if rate is None else rate / T
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:

@@ -16,6 +16,10 @@ driven state with its lead integrals in closed form, and the ringdown
 after the drive is a closed form too. solve_spec runs the array pipeline
 on every node of the policy grid, which it derives per point, and stores
 every waveform; it refuses grids above WAVEFORM_NODE_BUDGET nodes.
+
+This module keeps only solver policy (panel degree and widths, the
+duration range, the peak search): the breakpoints, pieces and lead rates
+are pulses.GEOMETRY's, the chain's driven start bloch.solve_chain's.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 from scipy.optimize import minimize_scalar
 
-from .bloch import SystemParams, _etd_weights, solve_chain
+from .bloch import SystemParams, solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
-from .pulses import (DEFAULT_POLICY, GAUSS_DRIVE_END, SYM_EXP_DRIVE_END, GridPolicy,
-                     PulseShape, PulseSpec, _LEAD_RATES, _leading_run, _piece_values,
-                     default_grid_for, sample_pulse)
+from .pulses import (DEFAULT_POLICY, GEOMETRY, GridPolicy, PulseShape, PulseSpec,
+                     _piece_values, default_grid_for, sample_pulse)
 from .signal import ComplexSignal, TimeGrid, require_finite
 from .twophoton import OutputDecomposition, LimitReport, amplitudes, decompose, limit_report
 
@@ -128,11 +131,10 @@ def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
 def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
     """Run the full pipeline for an already-built pulse spec on every node
     of its policy grid. A grid over WAVEFORM_NODE_BUDGET nodes raises
-    ConfigError before anything is sampled. The chain starts at rest,
-    except on a pulse that opens on an exponential run (the rising and the
-    symmetric exponential), which has been on since t = -inf: there it
-    starts in that run's driven state. The stepped grid misses run_point's
-    continuum amplitudes by its second-order error (README)."""
+    ConfigError before anything is sampled. The chain starts in the driven
+    state of the pulse's lead, if it has one (solve_chain's lead_rate), else
+    at rest. The stepped grid misses run_point's continuum amplitudes by
+    its second-order error (README)."""
     grid = default_grid_for(spec, policy)
     if grid.n > WAVEFORM_NODE_BUDGET:
         raise ConfigError(
@@ -141,12 +143,8 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
             "amplitude-only sweep and peak, which build no grid")
     params = SystemParams()
     b_in = sample_pulse(spec, grid)
-    start = (0.0, 0.0)
-    lam = _leading_run(spec.shape, spec.duration)
-    if lam is not None:
-        # a leading run: the chain starts in its driven state
-        start = _driven_state(lam, grid.dt, float(b_in.values[0]))
-    chain = solve_chain(b_in, params, start)
+    geo = GEOMETRY.get(spec.shape)      # None for a custom pulse, which starts at rest
+    chain = solve_chain(b_in, params, geo.lead_rate / spec.duration if geo else 0.0)
     pair = assemble_outputs(b_in, chain, params)
     del chain  # the dipole orders are large at long durations; done with them
     dec = decompose(pair)
@@ -159,24 +157,6 @@ def solve_point(shape: ShapeLike, gamma_t: float,
                 policy: GridPolicy = DEFAULT_POLICY) -> PointSolution:
     """Full pipeline for a built-in shape at duration gamma_t."""
     return solve_spec(_builtin_spec(_as_shape(shape), gamma_t), policy)
-
-
-def _driven_state(lam: float, dt: float, b: float) -> tuple[float, float]:
-    """The state (u, w) of the chain driven by a run of b = C exp(lam t), lam
-    > 0, since t = -inf, at a node where the pulse is b: the discrete
-    particular solutions of the ETD recurrence.
-
-    With rho = exp(lam dt), the recurrence driven by x1 = sqrt(2) b is
-    solved by u = c x1, c = (w0 + w1 rho) / (rho - E), and the one driven
-    by x3 = -2 sqrt(2) b u^2, which changes by rho^3 per node, by w = d x3,
-    d = (w0 + w1 rho^3) / (rho^3 - E).
-    """
-    E, w0, w1 = _etd_weights(1.0, dt)
-    rho = math.exp(lam * dt)
-    # rho - E and rho^3 - E without cancellation: 1 - E is exact
-    u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * (math.sqrt(2.0) * b)
-    x3 = -2.0 * math.sqrt(2.0) * b * (u * u)
-    return u, (w0 + w1 * rho**3) / (math.expm1(3.0 * lam * dt) + (1.0 - E)) * x3
 
 
 @functools.cache
@@ -249,10 +229,8 @@ def _continuum_fields(spec: PulseSpec, degree: int = _PANEL_DEGREE) -> tuple:
     (lam, t, weights, b, u, w): arrays of one column per panel in time
     order, and the Clenshaw-Curtis weights of each panel's integrals.
 
-    The panels tile one smooth piece of the pulse and never straddle a
-    breakpoint: the rectangular plateau from -T to 0, the symmetric
-    exponential's right side from its kink to SYM_EXP_DRIVE_END T, the
-    gaussian over +-GAUSS_DRIVE_END T. Widths start at min(1/4, T/8) at a
+    The panels tile the pulse's smooth piece (Geometry.piece), so they
+    never straddle a breakpoint. Widths start at min(1/4, T/8) at a
     breakpoint and double away from it, up to T/8 on a smooth piece and
     with no cap on the plateau. A panel much wider than the decay time 1
     damps a transient only by its collocation's stability function, not
@@ -260,22 +238,20 @@ def _continuum_fields(spec: PulseSpec, degree: int = _PANEL_DEGREE) -> tuple:
     transient since the breakpoint has already decayed over the panels
     before it.
 
-    The rectangular pulse and the gaussian (at rest before the panels,
-    where it is below 2**-53 of its peak) start at rest. The rising
-    exponential and the symmetric exponential's left side, b = C exp(lam t)
-    since t = -inf, start in their driven state u = sqrt(2) b / (1 + lam),
-    w = x3 / (1 + 3 lam) at t = 0 (lam = 0 for the others). The rising
-    exponential's piece is that one instant, its cutoff: one panel of
-    width 0.
+    A pulse with a lead b = C exp(lam t) before the piece, lam its
+    Geometry.lead_rate / T, starts in its driven state u = sqrt(2) b /
+    (1 + lam), w = x3 / (1 + 3 lam); the others start at rest (lam = 0).
     """
     shape, T = spec.shape, spec.duration
     rt2 = math.sqrt(2.0)
-    lam = _LEAD_RATES.get(shape, 0.0) / T
-    a, e, first, cap = {
-        PulseShape.RECTANGULAR: (-T, 0.0, min(0.25, T / 8.0), T),
-        PulseShape.RISING_EXP: (0.0, 0.0, T, T),
-        PulseShape.SYM_EXP: (0.0, SYM_EXP_DRIVE_END * T, min(0.25, T / 8.0), T / 8.0),
-        PulseShape.GAUSSIAN: (-GAUSS_DRIVE_END * T, GAUSS_DRIVE_END * T, T / 8.0, T / 8.0),
+    geo = GEOMETRY[shape]
+    lam = geo.lead_rate / T
+    a, e = (T * x for x in geo.piece)
+    first, cap = {
+        PulseShape.RECTANGULAR: (min(0.25, T / 8.0), T),
+        PulseShape.RISING_EXP: (T, T),
+        PulseShape.SYM_EXP: (min(0.25, T / 8.0), T / 8.0),
+        PulseShape.GAUSSIAN: (T / 8.0, T / 8.0),
     }[shape]
     runs = _panel_runs(e - a, first, cap)
     x, _, cc = _chebyshev(degree)

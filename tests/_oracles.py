@@ -23,8 +23,8 @@ import numpy as np
 
 from pulsegate.bloch import FullBlochState, SystemParams, decay_block
 from pulsegate.errors import SolverError, StepInstabilityError
-from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, _nodes_through,
-                              check_span, default_grid_for)
+from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, check_span,
+                              default_grid_for)
 from pulsegate.signal import ComplexSignal, _dot, require_finite
 
 SQ2 = np.sqrt(2.0)
@@ -204,6 +204,17 @@ def _leading_rate(spec):
     exponential's left side (2/T)."""
     return {PulseShape.RISING_EXP: 1.0 / spec.duration,
             PulseShape.SYM_EXP: 2.0 / spec.duration}.get(spec.shape)
+
+
+def _nodes_through(grid, t):
+    """Number of grid nodes at or before time t, which is the index of the
+    first node strictly past t (grid.n if there is none), with node times
+    computed exactly as TimeGrid.times does."""
+    # start just below the estimate, then step to the first node past t
+    i = min(max(math.floor((t - grid.t_start) / grid.dt) - 1, 0), grid.n)
+    while i < grid.n and grid.t_start + grid.dt * i <= t:
+        i += 1
+    return i
 
 
 def drive_window(spec, grid):

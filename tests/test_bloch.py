@@ -12,6 +12,7 @@ from pulsegate import (ComplexSignal, GridPolicy,
                        third_order_response)
 from pulsegate import bloch
 from pulsegate.bloch import FullBlochState, _scaled_drive, decay_block
+from pulsegate.pulses import GEOMETRY
 
 import _oracles as orc
 
@@ -182,6 +183,26 @@ class TestResponseChain:
         assert (chain.excitation.values >= 0).all()
         assert abs(chain.first_order.values[-1]) < 1e-6
         assert abs(chain.third_order.values[-1]) < 1e-6
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("make", [PulseSpec.rising_exponential,
+                                      PulseSpec.symmetric_exponential])
+    def test_lead_rate_starts_without_a_transient(self, make, gamma):
+        # on the lead b = C exp(lam t), u and w are the ETD recurrences'
+        # particular solutions from the first node on: u / b and w / b^3
+        # constant, at the continuum's sqrt(2 gamma) / (gamma + lam) up to
+        # the step's error; from rest u / b would climb from 0
+        T = 1.0
+        b, g = pulse_and_grid(make, T)
+        lam = GEOMETRY[make(T).shape].lead_rate / T
+        chain = solve_chain(b, SystemParams(gamma), lam)
+        lead = g.times() <= -1e-6 * g.dt     # before the cutoff or the kink
+        assert lead.sum() > 1000
+        u_ratio = chain.first_order.values[lead] / b.values[lead]
+        w_ratio = chain.third_order.values[lead] / b.values[lead] ** 3
+        np.testing.assert_allclose(u_ratio, u_ratio[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w_ratio, w_ratio[0], rtol=1e-12, atol=0)
+        assert u_ratio[0] == pytest.approx(np.sqrt(2 * gamma) / (gamma + lam), rel=1e-6)
 
 
 class TestFullBloch:

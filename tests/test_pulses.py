@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulsegate import (GridPolicy, PulseFileError, PulseShape, PulseSpec,
+from pulsegate import (ConfigError, GridPolicy, PulseFileError, PulseShape, PulseSpec,
                        UnsupportedSpanError, default_grid_for, load_pulse_file,
                        make_grid, norm_sq, sample_pulse)
 from pulsegate import pulses
-from pulsegate.pulses import RISING_LEAD_FACTOR, _builtin_values, _leading_run
+from pulsegate.pulses import GEOMETRY, RISING_LEAD_FACTOR, _builtin_values, _piece_values
 
 ALL_BUILTINS = [PulseSpec.rectangular, PulseSpec.rising_exponential,
                 PulseSpec.symmetric_exponential, PulseSpec.gaussian]
@@ -146,6 +146,12 @@ class TestGrids:
         with pytest.raises(UnsupportedSpanError):
             sample_pulse(PulseSpec.gaussian(1.0), make_grid(-1, 2, 100))
 
+    @pytest.mark.parametrize("kwargs", [{"samples_per_unit": 1}, {"tail": 0.0},
+                                        {"lead_pad": -1.0}, {"tail": math.nan}])
+    def test_invalid_policy_refused_when_built(self, kwargs):
+        with pytest.raises(ConfigError):
+            GridPolicy(**kwargs)
+
     def test_invalid_policy_rejected(self):
         from pulsegate import ConfigError
         with pytest.raises(ConfigError):
@@ -254,9 +260,9 @@ class TestExponentialRuns:
             grid = make_grid(t0, t0 + dt * (n - 1), n)
         t = grid.times()
         b = _builtin_values(shape, T, t, grid.dt)
-        lam = _leading_run(shape, T)
+        lam = GEOMETRY[shape].lead_rate / T
         if shape is PulseShape.RECTANGULAR:
-            assert lam is None and b[0] == 0.0
+            assert lam == 0.0 and b[0] == 0.0
             return
         if shape is PulseShape.SYM_EXP:
             hi = np.searchsorted(t, 0.0, side="right") - 1
@@ -270,7 +276,7 @@ class TestExponentialRuns:
 
     @pytest.mark.parametrize("T, dt, t0", TestJumpSearch.GRIDS)
     def test_halved_nodes_stay_out_of_runs(self, T, dt, t0, monkeypatch):
-        # a wider reach of _halve_on_jumps, which on the 1.557 grid halves
+        # a wider reach of the jump's mean value, which on the 1.557 grid halves
         # the node 0.35 dt before the cutoff: the rising exponential's run
         # ends before its halved nodes
         monkeypatch.setattr(pulses, "_JUMP_REACH", 0.4)
@@ -280,14 +286,53 @@ class TestExponentialRuns:
         t = grid.times()
         b = _builtin_values(PulseShape.RISING_EXP, T, t, grid.dt)
         halved = np.flatnonzero(b == 0.5 * amp)
-        assert _leading_run(PulseShape.RISING_EXP, T) == 1.0 / T
+        assert GEOMETRY[PulseShape.RISING_EXP].lead_rate / T == 1.0 / T
         np.testing.assert_allclose(b[:halved[0]], amp * np.exp(t[:halved[0]] / T),
                                    rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("spec", [PulseSpec.gaussian(2.0),
                                       PulseSpec.custom(np.linspace(-1, 1, 5), np.ones(5))])
     def test_gauss_and_custom_have_none(self, spec):
-        assert _leading_run(spec.shape, spec.duration) is None
+        # a custom pulse has no record; the gaussian's lead rate is 0
+        assert spec.shape not in GEOMETRY or GEOMETRY[spec.shape].lead_rate == 0.0
+
+
+class TestGeometry:
+    # each record against its formula, _piece_values, whose peak is at t = 0
+    @pytest.mark.parametrize("shape", list(GEOMETRY))
+    @pytest.mark.parametrize("T", [0.01, 1.0, 300.0])
+    def test_drive_end_bounds_the_pulse(self, shape, T):
+        geo = GEOMETRY[shape]
+        peak = _piece_values(shape, T, 0.0)
+        # every sample past the drive end, one step of T / 100 on
+        past = T * (geo.drive_end + np.linspace(0.01, 5.0, 500))
+        assert _builtin_values(shape, T, past, 0.01 * T).max() <= 2.0**-53 * peak
+        if geo.on[0] < geo.drive_end < geo.on[1]:
+            # the formula at the drive end itself, within its rounding
+            at_end = _piece_values(shape, T, T * geo.drive_end)
+            assert at_end <= 2.0**-53 * peak * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("shape", list(GEOMETRY))
+    @pytest.mark.parametrize("T", [0.01, 1.0, 300.0])
+    def test_lead_rate_is_the_log_slope_of_the_lead(self, shape, T):
+        # before its piece the pulse is C exp(lam t), lam = lead_rate / T,
+        # d ln b / dt = lam; a pulse with lead rate 0 is at rest there, below
+        # 2^-53 of its peak
+        geo = GEOMETRY[shape]
+        t = T * (geo.piece[0] - np.linspace(5.0, 0.01, 500))
+        b = _builtin_values(shape, T, t, 0.01 * T)
+        if geo.lead_rate == 0.0:
+            assert b.max() <= 2.0**-53 * _piece_values(shape, T, 0.0)
+            return
+        assert T * geo.on[0] < t[0] and t[-1] < T * geo.on[1]
+        np.testing.assert_allclose(np.diff(np.log(b)) / np.diff(t), geo.lead_rate / T,
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("shape", list(GEOMETRY))
+    def test_piece_lies_where_the_formula_holds(self, shape):
+        geo = GEOMETRY[shape]
+        assert geo.on[0] <= geo.piece[0] <= geo.piece[1] <= geo.on[1]
+        assert geo.piece[1] == min(geo.drive_end, geo.on[1])
 
 
 class TestCustomPulses:
@@ -344,6 +389,26 @@ class TestCustomPulses:
         path = self.write(tmp_path, "0 0\n1 0\n")
         with pytest.raises(PulseFileError):
             PulseSpec.from_file(path)
+
+    T5 = np.linspace(-1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"custom_t": T5}, {"custom_values": np.ones(5)},
+        {"custom_t": T5, "custom_values": np.ones(4)},
+        {"custom_t": T5[None, :], "custom_values": np.ones((1, 5))},
+        {"custom_t": T5[::-1], "custom_values": np.ones(5)},
+        {"custom_t": T5, "custom_values": np.full(5, np.nan)}],
+        ids=["t-only", "values-only", "mismatched", "2-d", "descending", "nan"])
+    def test_direct_custom_spec_validated(self, kwargs):
+        # built directly, not through PulseSpec.custom: refused when built,
+        # not later by numpy inside the solver
+        with pytest.raises(PulseFileError):
+            PulseSpec(PulseShape.CUSTOM, 2.0, **kwargs)
+
+    @pytest.mark.parametrize("field", ["custom_t", "custom_values"])
+    def test_builtin_spec_takes_no_samples(self, field):
+        with pytest.raises(ConfigError, match="custom samples"):
+            PulseSpec(PulseShape.RECTANGULAR, 1.0, **{field: self.T5})
 
     def test_custom_shape_enum(self, tmp_path):
         path = self.write(tmp_path, "0 1\n1 1\n")
