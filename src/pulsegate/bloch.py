@@ -166,9 +166,9 @@ def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams(),
                 lead_rate: float = 0.0) -> ResponseChain:
     """Run the full perturbative chain u -> sz2 -> w. With lead_rate 0 it
     starts in the ground state on the grid's first node. A lead_rate lam
-    > 0 says that the pulse has been C exp(lam t) since t = -inf, through
-    the first two nodes at least: the chain then starts in that run's
-    driven state (_driven_state), with no transient."""
+    > 0 says that the pulse has been C exp(lam t) from t = -inf up to that
+    node: the chain then starts in the run's driven state (_driven_state),
+    with no transient."""
     start = (0.0, 0.0)
     if lead_rate:
         start = _driven_state(lead_rate, b_in.grid.dt, b_in.values[0].item(), params.gamma)
