@@ -17,9 +17,11 @@ can (Linux ``renameat2``), so that the replacement does not wait on a
 disk flush; see `_write_atomic`.
 
 A block's text is byte for byte what ``'%.17g' % x`` gives each value,
-built by a numpy kernel (`_fill_slots`) instead of one value at a time.
-A column that is +0.0 throughout the block is written as ``0`` outright.
-Any other value gets its 17 digits as round(|x| 10**(16 - e)), e =
+built by a numpy kernel (`_fill_slots`), one call per block over the
+columns that are not +0.0 throughout the block. A +0.0 column right after
+such a column takes no slot of its own: its ``0`` rides in the spare bytes
+of the slot before it; any other is written as ``0`` outright. Each value
+the kernel takes gets its 17 digits as round(|x| 10**(16 - e)), e =
 floor(log10|x|), from a double-double table of powers of ten and
 Dekker's exact product; its sign, "0.000" prefix, point, exponent and
 separator come from small lookup tables into a fixed NUL-padded slot,
@@ -52,9 +54,10 @@ SWEEP_HEADER = "gamma_t,c11_re,c11_im,c11_sq,c12_sq,cr_sq,overlap_re,overlap_im"
 
 BUILTIN_SHAPES = [s.value for s in PulseShape if s is not PulseShape.CUSTOM]
 
-# rows per chunk of `_csv`: large enough to amortise numpy's per-call cost,
-# small enough that a block's slots stay near 2 MB (11 columns of 48 bytes)
-_CSV_BLOCK_ROWS = 4096
+# rows per chunk of `_csv`, one kernel call each: large enough to amortise
+# numpy's per-call cost, small enough that the call's float64 temporaries
+# (12k values for a real pulse's 6 live signal columns) stay in a 2 MB L2
+_CSV_BLOCK_ROWS = 2048
 
 # renameat2(2) and its flag that swaps two existing names in one step;
 # None where the C library has no renameat2 (outside Linux)
@@ -126,7 +129,8 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
 #   word 0     byte 0 the sign, bytes 1-5 the "0." to "0.000" of
 #              1e-4 <= |x| < 1, byte 6 the first digit, byte 7 its point
 #   words 1-4  digits 2-17, four to a word, each with its point place
-#   word 5     the exponent ("e-05" to "e+290"), byte 5 the separator
+#   word 5     the exponent ("e-05" to "e+290"), byte 5 the separator;
+#              bytes 6-7 the 0 and separator of a +0.0 column folded in
 _SLOT_WORDS = 6
 # |x| outside this range, subnormals among it, is left to '%.17g'; inside
 # it no step of the exact product below under- or overflows
@@ -255,17 +259,25 @@ def _fill_slots(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _csv_block(cols: Sequence[np.ndarray]) -> str:
-    """The CSV rows of equal-length float64 columns; a column that is +0.0
-    throughout (bitwise) is written as 0 without the kernel."""
-    slots = np.empty((len(cols[0]), len(cols), _SLOT_WORDS), np.uint64)
-    for x, out in zip(cols, slots.transpose(1, 0, 2)):
-        if x.view(np.uint64).any():
-            _fill_slots(x, out)
-        else:
-            out[:] = _ZERO_SLOT
-    separators = np.full(len(cols), ord(","), np.uint64)
-    separators[-1] = ord("\n")
-    slots[:, :, 5] |= separators << np.uint64(40)
+    """The CSV rows of equal-length float64 columns, the live ones (not +0.0
+    throughout, bitwise) in one kernel call, row-major. A +0.0 column right
+    after a live one takes no slot; any other is a slot of 0 (`_ZERO_SLOT`)."""
+    live = np.array([x.view(np.uint64).any() for x in cols])
+    folded = ~live & np.append(False, live[:-1])
+    sep = np.full(len(cols), ord(","), np.uint64)
+    sep[-1] = ord("\n")
+    tail = sep << np.uint64(40)
+    k = np.flatnonzero(folded)
+    tail[k - 1] |= (sep[k] << np.uint64(8) | np.uint64(ord("0"))) << np.uint64(48)
+    zero = ~live[~folded]
+    slots = np.empty((len(cols[0]), len(zero), _SLOT_WORDS), np.uint64)
+    fill = np.empty((len(cols[0]), live.sum(), _SLOT_WORDS), np.uint64) if zero.any() else slots
+    if live.any():
+        _fill_slots(np.stack([x for x, on in zip(cols, live) if on], axis=1).ravel(),
+                    fill.reshape(-1, _SLOT_WORDS))
+    if zero.any():
+        slots[:, ~zero], slots[:, zero] = fill, _ZERO_SLOT
+    slots[:, :, 5] |= tail[~folded]
     return slots.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
 
 

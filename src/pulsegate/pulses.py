@@ -150,6 +150,10 @@ class PulseSpec:
             raise PulseFileError("custom pulse times must be strictly ascending")
         elif not np.any(v):
             raise PulseFileError("custom pulse is identically zero")
+        elif self.duration != t[-1] - t[0]:
+            # the grid is sized from the duration: it must be the sampled span
+            raise PulseFileError(f"custom pulse duration {self.duration!r} is not "
+                                 f"its samples' span {t[-1] - t[0]!r}")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ConfigError(f"pulse duration must be positive, got {self.duration}")
 

@@ -13,8 +13,8 @@ from scipy.integrate import trapezoid
 import _oracles as orc
 from pulsegate import cli, errors
 from pulsegate.cli import SWEEP_HEADER, main
-from pulsegate.pulses import GridPolicy
-from pulsegate.sweep import solve_point
+from pulsegate.pulses import GridPolicy, PulseSpec
+from pulsegate.sweep import solve_point, solve_spec
 
 FAST = ["--points-per-unit", "400"]
 SIGNALS_HEADER = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
@@ -308,8 +308,8 @@ class TestWaveformFiles:
 
     @pytest.mark.parametrize("shape", ["rect", "rising-exp", "sym-exp", "gauss"])
     def test_files_match_the_per_value_reference(self, shape, tmp_path):
-        # a real pulse: every _im column is +0.0 throughout (written without
-        # the kernel)
+        # a real pulse: every _im column is +0.0 throughout (folded into the
+        # slot of the _re column before it)
         args = ["--shape", shape, "--gamma-t", "1", *FAST, "--stride", "1"]
         run("respond", *args, "--out", tmp_path / "r")
         run("modes", *args, "--out", tmp_path / "m.csv")
@@ -327,6 +327,30 @@ class TestWaveformFiles:
         assert text.count("\n") == sol.grid.n + 1
         assert_same_text(text, signals)
         assert_same_text((tmp_path / "m.csv").read_text(), modes)
+
+    def test_complex_pulse_files_match_the_per_value_reference(self, tmp_path):
+        # a chirped gaussian: every column is live in the table, but b_in is
+        # +0.0 past the last sample, where b_in_re folds into t's slot and
+        # b_in_im gets a slot of 0
+        tt = np.arange(-30, 31) / 10
+        zz = np.exp(-tt**2 + 0.8j * tt)
+        pf = tmp_path / "chirp.txt"
+        pf.write_text("".join(f"{t!r} {z.real!r} {z.imag!r}\n"
+                              for t, z in zip(tt.tolist(), zz.tolist())))
+        args = ["--shape", "custom", "--pulse-file", pf, "--stride", "1", *FAST]
+        assert run("respond", *args, "--out", tmp_path / "r") == 0
+        assert run("modes", *args, "--out", tmp_path / "m.csv") == 0
+        sol = solve_spec(PulseSpec.from_file(pf), GridPolicy(samples_per_unit=400))
+        d = sol.decomposition
+        signals = [sol.b_in, sol.pair.linear, sol.pair.cubic, d.psi1, d.psi2]
+        cols = [sol.grid.times()] + [part for sig in signals
+                                     for part in (sig.values.real, sig.values.imag)]
+        assert all(c.view(np.uint64).any() for c in cols)
+        assert_same_text((tmp_path / "r.signals.csv").read_text(),
+                         orc.csv_text(SIGNALS_HEADER, zip(*cols)))
+        assert_same_text((tmp_path / "m.csv").read_text(),
+                         orc.csv_text("t,psi1_re,psi1_im,psi2_re,psi2_im",
+                                      zip(cols[0], *cols[7:])))
 
     @pytest.mark.parametrize("shape, gt", [("rect", 1.557), ("rising-exp", 1.0),
                                            ("sym-exp", 0.789), ("gauss", 0.799)])
@@ -419,6 +443,36 @@ class TestCsvWriter:
         for block in (1, 7, n):
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
             assert "".join(cli._csv(header, cols)) == want, f"block of {block}"
+
+    @pytest.mark.parametrize("table", ["mixed", "one-live", "one-zero", "one-minus",
+                                       "all-zero"])
+    def test_zero_columns_fold_into_the_slot_before(self, table, monkeypatch):
+        # a +0.0 column right after a live one rides in that one's slot; a
+        # leading one, or one after a folded one, gets a slot of 0; -0.0 is
+        # live. Each block makes one kernel call, over its live values
+        n = 20
+        rng = np.random.default_rng(25)
+        plus, minus = np.zeros(n), np.full(n, -0.0)
+        late = np.zeros(n)
+        late[-3:] = [1.5, -2.0, 3.25]       # +0.0 in all but its last block
+        early = rng.standard_normal(n)
+        early[5:] = 0.0                     # live in its first block only
+        cols = {"mixed": [plus, rng.standard_normal(n), plus, plus, rng.standard_normal(n),
+                          minus, rng.standard_normal(n), late, plus, early, plus],
+                "one-live": [rng.standard_normal(n)], "one-zero": [plus],
+                "one-minus": [minus], "all-zero": [plus, plus, plus]}[table]
+        header = ",".join(f"c{j}" for j in range(len(cols)))
+        want = orc.csv_text(header, zip(*cols))
+        fill_slots, calls = cli._fill_slots, []
+        monkeypatch.setattr(cli, "_fill_slots", lambda x, out: (calls.append(len(x)),
+                                                                 fill_slots(x, out)))
+        for block in (1, 7, n, n + 1):
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+            calls.clear()
+            assert "".join(cli._csv(header, cols)) == want, f"block of {block}"
+            blocks = [[c[a:a + block] for c in cols] for a in range(0, n, block)]
+            live = [len(b[0]) * sum(bool(c.view(np.uint64).any()) for c in b) for b in blocks]
+            assert calls == [k for k in live if k], f"block of {block}"
 
     def test_failed_stream_leaves_the_target_as_it_was(self, tmp_path):
         target = tmp_path / "w.csv"

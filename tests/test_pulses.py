@@ -405,6 +405,20 @@ class TestCustomPulses:
         with pytest.raises(PulseFileError):
             PulseSpec(PulseShape.CUSTOM, 2.0, **kwargs)
 
+    @pytest.mark.parametrize("duration", [1e-3, 2.5, -2.0])
+    def test_direct_custom_duration_is_the_span(self, duration, tmp_path):
+        # the grid is sized from the duration: 1e-3 would give a 61-sample
+        # file 26.5M nodes instead of 8,835
+        with pytest.raises(PulseFileError, match="span"):
+            PulseSpec(PulseShape.CUSTOM, duration, self.T5, np.ones(5))
+        assert PulseSpec(PulseShape.CUSTOM, 2.0, self.T5, np.ones(5)).duration == 2.0
+        t = np.linspace(-3.0, 3.0, 61)
+        v = np.exp(-t**2)
+        spec = PulseSpec.custom(t, v)
+        assert spec.duration == 6.0 and pulses.default_grid_for(spec).n == 8835
+        path = self.write(tmp_path, "\n".join(f"{a:.17g} {b:.17g}" for a, b in zip(t, v)))
+        assert PulseSpec.from_file(path).duration == 6.0
+
     @pytest.mark.parametrize("field", ["custom_t", "custom_values"])
     def test_builtin_spec_takes_no_samples(self, field):
         with pytest.raises(ConfigError, match="custom samples"):
