@@ -90,8 +90,8 @@ def _file_mode(path: Path) -> int:
         return 0o666 & ~umask
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks to a temp file beside `path`, then put it in
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks to a temp file beside `path`, then put it in
     place of `path`. If anything raises, the temp file is removed and an
     existing `path` is left as it was.
 
@@ -109,7 +109,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, _file_mode(path))
             fh.writelines(chunks)
         if _exchange(tmp, path):
@@ -258,10 +258,11 @@ def _fill_slots(x: np.ndarray, out: np.ndarray) -> None:
         out[j] = _words([("%.17g" % x[j]).encode().ljust(8 * _SLOT_WORDS, b"\0")])
 
 
-def _csv_block(cols: Sequence[np.ndarray]) -> str:
-    """The CSV rows of equal-length float64 columns, the live ones (not +0.0
-    throughout, bitwise) in one kernel call, row-major. A +0.0 column right
-    after a live one takes no slot; any other is a slot of 0 (`_ZERO_SLOT`)."""
+def _csv_block(cols: Sequence[np.ndarray]) -> bytes:
+    """The CSV rows, as ASCII bytes, of equal-length float64 columns, the
+    live ones (not +0.0 throughout, bitwise) in one kernel call, row-major.
+    A +0.0 column right after a live one takes no slot; any other is a slot
+    of 0 (`_ZERO_SLOT`)."""
     live = np.array([x.view(np.uint64).any() for x in cols])
     folded = ~live & np.append(False, live[:-1])
     sep = np.full(len(cols), ord(","), np.uint64)
@@ -278,14 +279,14 @@ def _csv_block(cols: Sequence[np.ndarray]) -> str:
     if zero.any():
         slots[:, ~zero], slots[:, zero] = fill, _ZERO_SLOT
     slots[:, :, 5] |= tail[~folded]
-    return slots.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+    return slots.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _csv(header: str, cols: Sequence) -> Iterator[str]:
-    """Yield a CSV table as text chunks: the header line, then the rows of
+def _csv(header: str, cols: Sequence) -> Iterator[bytes]:
+    """Yield a CSV table as ASCII chunks: the header line, then the rows of
     `cols` (equal-length float columns) at 17 significant digits,
     `_CSV_BLOCK_ROWS` rows per chunk."""
-    yield header + "\n"
+    yield (header + "\n").encode()
     cols = [np.asarray(c, dtype=float) for c in cols]
     for a in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
         yield _csv_block([c[a:a + _CSV_BLOCK_ROWS] for c in cols])
@@ -387,7 +388,7 @@ def cmd_respond(args) -> int:
         row = ",".join(str(v) if isinstance(v, (str, bool)) else _fmt(v)
                        for v in record.values())
         text = ",".join(record) + "\n" + row + "\n"
-    _write_atomic(Path(f"{out}.summary.{args.format}"), [text])
+    _write_atomic(Path(f"{out}.summary.{args.format}"), [text.encode()])
     print(_json_text(record), end="")
     return 0
 
@@ -410,7 +411,7 @@ def cmd_peak(args) -> int:
               "c11_at_peak_im": res.c11_at_peak.imag}
     text = _json_text(record)
     if args.out:
-        _write_atomic(Path(args.out), [text])
+        _write_atomic(Path(args.out), [text.encode()])
     print(text, end="")
     return 0
 

@@ -49,8 +49,8 @@ def make_grid(t_start: float, t_end: float, n: int) -> TimeGrid:
 class ComplexSignal:
     """Complex waveform sampled on a TimeGrid.
 
-    Values are stored as float64 or complex128; a real dtype means the
-    imaginary part is identically zero. Every signal derived from a pulse
+    Values are stored as float64 (any real input) or complex128 (any
+    complex one); a real dtype means the imaginary part is identically zero. Every signal derived from a pulse
     keeps the pulse's dtype: the four built-in pulses are real, and so are
     their dipole orders (stored as s/i), outputs and modes; a complex
     custom pulse gives complex128 throughout.
@@ -61,8 +61,7 @@ class ComplexSignal:
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.dtype not in (np.float64, np.complex128):
-            v = v.astype(np.complex128)
+        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
         if v.ndim != 1 or len(v) != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
         require_finite(v)

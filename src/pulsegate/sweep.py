@@ -9,8 +9,9 @@ needs only the three overlap integrals ||b1||^2, <b1|b3> and ||b3||^2 of
 the continuum outputs, and builds no grid for them (_continuum_gram).
 Between the pulse's breakpoints (the rectangular edges, the symmetric
 exponential's kink) it solves the dipole chain by Chebyshev collocation on
-panels whose widths grow away from each breakpoint, and integrates with
-Clenshaw-Curtis weights. A pulse that has been on since t = -inf (the
+panels, and integrates with Clenshaw-Curtis weights. One rule sizes the
+panels of every shape: min(1/4, T/8) wide at the piece's start, doubling
+up to T/2. A pulse that has been on since t = -inf (the
 rising exponential, the symmetric exponential's left side) enters in its
 driven state with its lead integrals in closed form, and the ringdown
 after the drive is a closed form too. solve_spec runs the array pipeline
@@ -230,13 +231,14 @@ def _continuum_fields(spec: PulseSpec, degree: int = _PANEL_DEGREE) -> tuple:
     order, and the Clenshaw-Curtis weights of each panel's integrals.
 
     The panels tile the pulse's smooth piece (Geometry.piece), so they
-    never straddle a breakpoint. Widths start at min(1/4, T/8) at a
-    breakpoint and double away from it, up to T/8 on a smooth piece and
-    with no cap on the plateau. A panel much wider than the decay time 1
-    damps a transient only by its collocation's stability function, not
-    by exp(-width), so the doubling puts each wide panel where the
-    transient since the breakpoint has already decayed over the panels
-    before it.
+    never straddle a breakpoint. One rule sizes them for every shape:
+    widths start at min(1/4, T/8) at the piece's start and double away
+    from it up to T/2. A panel much wider than the decay time 1 damps a
+    transient only by its collocation's stability function, not by
+    exp(-width), so the doubling puts each wide panel where the transient
+    since the start has already decayed over the panels before it. The
+    cap is T/2 because the pulse itself must be resolved too: with a cap
+    of T, the gaussian's amplitudes move by 1.3e-13.
 
     A pulse with a lead b = C exp(lam t) before the piece, lam its
     Geometry.lead_rate / T, starts in its driven state u = sqrt(2) b /
@@ -247,13 +249,7 @@ def _continuum_fields(spec: PulseSpec, degree: int = _PANEL_DEGREE) -> tuple:
     geo = GEOMETRY[shape]
     lam = geo.lead_rate / T
     a, e = (T * x for x in geo.piece)
-    first, cap = {
-        PulseShape.RECTANGULAR: (min(0.25, T / 8.0), T),
-        PulseShape.RISING_EXP: (T, T),
-        PulseShape.SYM_EXP: (min(0.25, T / 8.0), T / 8.0),
-        PulseShape.GAUSSIAN: (T / 8.0, T / 8.0),
-    }[shape]
-    runs = _panel_runs(e - a, first, cap)
+    runs = _panel_runs(e - a, min(0.25, T / 8.0), T / 2.0)
     x, _, cc = _chebyshev(degree)
     h = np.repeat(*zip(*runs))
     t = a + (np.cumsum(h) - h) + 0.5 * h * (x[:, None] + 1.0)

@@ -383,7 +383,7 @@ class TestCsvWriter:
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
             chunks = list(cli._csv(header, cols))
             assert len(chunks) == 1 + -(-n // block), f"block of {block}"
-            assert "".join(chunks) == want, f"block of {block}"
+            assert b"".join(chunks) == want.encode(), f"block of {block}"
 
     @staticmethod
     def hard_values(case):
@@ -426,7 +426,7 @@ class TestCsvWriter:
         x = np.concatenate([x, np.zeros(-len(x) % 5)])
         cols = list(x.reshape(5, -1))
         header = "a,b,c,d,e"
-        assert "".join(cli._csv(header, cols)) == orc.csv_text(header, zip(*cols))
+        assert b"".join(cli._csv(header, cols)) == orc.csv_text(header, zip(*cols)).encode()
 
     def test_zero_and_non_finite_columns(self, monkeypatch):
         # +0.0 throughout a block is written without the kernel, -0.0 and
@@ -442,7 +442,7 @@ class TestCsvWriter:
         want = orc.csv_text(header, zip(*cols))
         for block in (1, 7, n):
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
-            assert "".join(cli._csv(header, cols)) == want, f"block of {block}"
+            assert b"".join(cli._csv(header, cols)) == want.encode(), f"block of {block}"
 
     @pytest.mark.parametrize("table", ["mixed", "one-live", "one-zero", "one-minus",
                                        "all-zero"])
@@ -469,7 +469,7 @@ class TestCsvWriter:
         for block in (1, 7, n, n + 1):
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
             calls.clear()
-            assert "".join(cli._csv(header, cols)) == want, f"block of {block}"
+            assert b"".join(cli._csv(header, cols)) == want.encode(), f"block of {block}"
             blocks = [[c[a:a + block] for c in cols] for a in range(0, n, block)]
             live = [len(b[0]) * sum(bool(c.view(np.uint64).any()) for c in b) for b in blocks]
             assert calls == [k for k in live if k], f"block of {block}"
@@ -479,8 +479,8 @@ class TestCsvWriter:
         target.write_bytes(b"old,file\n1,2\n")
 
         def chunks():
-            yield "t,x\n"
-            yield "1,2\n" * 100_000  # past the file buffer, so the temp file has data
+            yield b"t,x\n"
+            yield b"1,2\n" * 100_000  # past the file buffer, so the temp file has data
             raise RuntimeError("mid-stream")
 
         with pytest.raises(RuntimeError, match="mid-stream"):
@@ -502,7 +502,7 @@ class TestCsvWriter:
         target = tmp_path / "w.csv"
         target.write_bytes(b"old,file\n1,2\n")
         assert cli._exchange(str(tmp_path / "absent"), target) is False
-        cli._write_atomic(target, ["t,x\n", "3,4\n"])
+        cli._write_atomic(target, [b"t,x\n", b"3,4\n"])
         assert target.read_bytes() == b"t,x\n3,4\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -518,8 +518,8 @@ class TestCsvWriter:
         kept.chmod(0o640)
         umask = os.umask(0o022)
         try:
-            cli._write_atomic(tmp_path / "new.csv", ["t,x\n"])
-            cli._write_atomic(kept, ["t,x\n"])
+            cli._write_atomic(tmp_path / "new.csv", [b"t,x\n"])
+            cli._write_atomic(kept, [b"t,x\n"])
         finally:
             os.umask(umask)
         assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o644
@@ -530,7 +530,7 @@ class TestCsvWriter:
         target = tmp_path / "w.csv"
         target.mkdir()
         with pytest.raises(OSError):
-            cli._write_atomic(target, ["t,x\n"])
+            cli._write_atomic(target, [b"t,x\n"])
         assert target.is_dir() and list(tmp_path.iterdir()) == [target]
 
 

@@ -58,6 +58,15 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             ComplexSignal(make_grid(0, 1, 5), vals)
 
+    @pytest.mark.parametrize("dtype, stored", [(np.float32, np.float64), (np.int64, np.float64),
+                                               (np.complex64, np.complex128)])
+    def test_dtype_kind_is_kept(self, dtype, stored):
+        # a real input stays real (float64), a complex one complex128
+        grid = make_grid(0, 1, 5)
+        f = ComplexSignal(grid, np.arange(1, 6).astype(dtype))
+        assert f.values.dtype == stored
+        assert type(inner_product(f, f)) is (float if stored == np.float64 else complex)
+
 
 class TestInnerProduct:
     def test_normalized_gaussian_self_overlap(self):

@@ -655,6 +655,27 @@ class TestContinuumPanels:
                                        err_msg=f"{shape} at gamma_t={gt!r}")
 
     @pytest.mark.parametrize("shape", BUILTIN)
+    def test_node_count_is_bounded(self, shape):
+        # the widest cost measured is 1,785 nodes (sym-exp)
+        for gt in np.logspace(-3.0, 4.0, 301):
+            t = sweep_module._continuum_fields(PulseSpec(PulseShape(shape), float(gt)))[1]
+            assert t.size <= 2000, (shape, gt)
+
+    @pytest.mark.parametrize("shape", BUILTIN)
+    def test_panels_follow_one_rule(self, shape):
+        # every shape's panels tile its piece exactly, start at most
+        # min(1/4, T/8) wide and are never wider than T/2; a width may pass
+        # T/2 only by the 1e-9 that _panel_runs allows its last panel
+        for gt in np.logspace(-3.0, 4.0, 301):
+            t = sweep_module._continuum_fields(PulseSpec(PulseShape(shape), float(gt)))[1]
+            piece = [gt * x for x in pulses_module.GEOMETRY[PulseShape(shape)].piece]
+            assert [t[0, 0], t[-1, -1]] == piece, (shape, gt)
+            np.testing.assert_array_equal(t[0, 1:], t[-1, :-1], err_msg=f"{shape} at {gt!r}")
+            widths = t[-1] - t[0]
+            assert widths[0] <= min(0.25, gt / 8.0), (shape, gt)
+            assert widths.max() <= gt / 2.0 * (1.0 + 1e-9), (shape, gt)
+
+    @pytest.mark.parametrize("shape", BUILTIN)
     def test_builds_no_grid(self, shape, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("run_point built a grid")
@@ -711,8 +732,9 @@ class TestAdiabaticGauss:
         # the Gram entries cannot tell u from its mirror image u(-t), the
         # anti-causal response; the closed form of u' = -u + sqrt(2) b can:
         # u = b(t) T sqrt(pi)/2 erfcx(sqrt(2) (T^2/4 - t) / T), here at the
-        # panels' nodes: measured within 1.7e-15, 8.0e-15 and 2.4e-14 of
-        # its peak, the rounding of collocation on panels up to 1024 wide
+        # panels' nodes: measured within 4.3e-15, 5.4e-15 and 5.3e-14 of
+        # its peak, the rounding of collocation on panels up to 32, 256 and
+        # 4,096 wide
         _, t, _, b, u, _ = sweep_module._continuum_fields(PulseSpec.gaussian(gt))
         exact = b * gt * math.sqrt(math.pi) / 2.0 * erfcx(math.sqrt(2.0) * (gt**2 / 4.0 - t) / gt)
         np.testing.assert_allclose(u, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
