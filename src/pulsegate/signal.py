@@ -50,10 +50,11 @@ class ComplexSignal:
     """Complex waveform sampled on a TimeGrid.
 
     Values are stored as float64 (any real input) or complex128 (any
-    complex one); a real dtype means the imaginary part is identically zero. Every signal derived from a pulse
-    keeps the pulse's dtype: the four built-in pulses are real, and so are
-    their dipole orders (stored as s/i), outputs and modes; a complex
-    custom pulse gives complex128 throughout.
+    complex one); a real dtype means the imaginary part is identically
+    zero. Every signal derived from a pulse keeps the pulse's dtype: the
+    four built-in pulses are real, and so are their dipole orders (stored
+    as s/i), outputs and modes; a complex custom pulse gives complex128
+    throughout.
     """
 
     grid: TimeGrid

@@ -11,10 +11,10 @@ Between the pulse's breakpoints (the rectangular edges, the symmetric
 exponential's kink) it solves the dipole chain by Chebyshev collocation on
 panels, and integrates with Clenshaw-Curtis weights. One rule sizes the
 panels of every shape: min(1/4, T/8) wide at the piece's start, doubling
-up to T/2. A pulse that has been on since t = -inf (the
-rising exponential, the symmetric exponential's left side) enters in its
-driven state with its lead integrals in closed form, and the ringdown
-after the drive is a closed form too. solve_spec runs the array pipeline
+up to T/2. A pulse that has been on since t = -inf (the rising
+exponential, the symmetric exponential's left side) enters in its driven
+state with its lead integrals in closed form, and the ringdown after the
+drive is a closed form too. solve_spec runs the array pipeline
 on every node of the policy grid, which it derives per point, and stores
 every waveform; it refuses grids above WAVEFORM_NODE_BUDGET nodes.
 
