@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import GridMismatchError, IllConditionedFitError, StepInstabilityError
 from .signal import ComplexSignal, TimeGrid
@@ -113,7 +112,9 @@ def decay_block(x: np.ndarray, rate: float, dt: float, x_prev=None,
 
     Chaining blocks, each fed the last drive sample and state of the one
     before, reproduces the recurrence over the joined array bit for bit.
+    scipy.signal is imported on first call; it would dominate package import.
     """
+    from scipy.signal import lfilter
     E, w0, w1 = _etd_weights(rate, dt)
     g = w1 * x
     if x_prev is None:

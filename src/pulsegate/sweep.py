@@ -32,7 +32,6 @@ from typing import Union
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.optimize import minimize_scalar
 
 from .bloch import SystemParams, solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
@@ -335,8 +334,9 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) 
     """Locate the c12_sq maximum inside the bracket.
 
     A coarse log-spaced probe seeds scipy's bounded Brent search on
-    log(gamma_t), each duration solved once. A probe maximum on a bracket
-    edge (no interior peak) raises NoPeakError, an unconverged search SolverError.
+    log(gamma_t), each duration solved once; scipy.optimize is imported only
+    for it, so sweeps never load it. A probe maximum on a bracket edge
+    (no interior peak) raises NoPeakError, an unconverged search SolverError.
     """
     shape = _as_shape(shape)
     lo, hi = bracket
@@ -353,6 +353,7 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) 
         raise NoPeakError(
             f"c12_sq is maximal at the bracket edge gamma_t={probes[k]:g}; "
             "no interior peak to refine")
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda lg: -row(math.exp(lg)).c12_sq, method="bounded",
                           bounds=(math.log(probes[k - 1]), math.log(probes[k + 1])),
                           options={"xatol": math.log1p(_PEAK_REL_TOL)})

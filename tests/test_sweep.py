@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
@@ -188,11 +189,13 @@ class TestFindPeak:
         assert res.gamma_t_star in solved
 
     def test_unconverged_refinement_raises(self, monkeypatch):
-        minimize_scalar = sweep_module.minimize_scalar
+        # find_peak_c12 imports minimize_scalar from scipy.optimize when it
+        # searches, so the capped search is patched in there
+        minimize_scalar = scipy.optimize.minimize_scalar
 
         def capped(fun, **kwargs):
             return minimize_scalar(fun, **{**kwargs, "options": {"maxiter": 3}})
-        monkeypatch.setattr(sweep_module, "minimize_scalar", capped)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
         with pytest.raises(SolverError, match="did not converge"):
             find_peak_c12("rect")
 
