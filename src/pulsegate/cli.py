@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import stat
@@ -426,6 +427,7 @@ def cmd_modes(args) -> int:
     return 0
 
 
+@functools.cache    # one parse tree per process; the cmd_* read module globals when called
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulsegate",
@@ -479,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -4,9 +4,9 @@ For a fixed shape the physics depends only on gamma_t = Gamma*T, so a
 sweep solves once per duration. Points are independent pure computations
 evaluated in ascending order, which makes emitted tables bit-reproducible.
 
-The amplitude path (run_point, which sweeps and the peak search use)
-needs only the three overlap integrals ||b1||^2, <b1|b3> and ||b3||^2 of
-the continuum outputs, and builds no grid for them (_continuum_gram).
+The amplitude path (run_point, which sweeps and the peak search use) needs
+numpy alone and only the overlap integrals ||b1||^2, <b1|b3> and ||b3||^2
+of the continuum outputs; it builds no grid for them (_continuum_gram).
 Between the pulse's breakpoints (the rectangular edges, the symmetric
 exponential's kink) it solves the dipole chain by Chebyshev collocation on
 panels, and integrates with Clenshaw-Curtis weights. One rule sizes the
@@ -111,13 +111,11 @@ class PointSolution:
 
 
 def _as_shape(shape: ShapeLike) -> PulseShape:
-    if isinstance(shape, PulseShape):
-        return shape
-    try:
-        return PulseShape(str(shape))
-    except ValueError:
-        names = ", ".join(s.value for s in PulseShape)
-        raise DurationRangeError(f"unknown pulse shape {shape!r}; expected one of {names}") from None
+    for builtin in GEOMETRY:    # a custom pulse is its samples, not a name
+        if shape == builtin:
+            return builtin
+    names = ", ".join(s.value for s in GEOMETRY)
+    raise DurationRangeError(f"unknown pulse shape {shape!r}; expected one of {names}")
 
 
 def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
@@ -330,13 +328,65 @@ def sweep(shape: ShapeLike, gt_min: float = DEFAULT_SWEEP_RANGE[0],
     return rows
 
 
+def _bounded_brent(func, a: float, b: float, xatol: float, maxfun: int = 500):
+    """(x, func(x), evaluations, failure) of Brent's bounded minimisation of
+    func on [a, b], failure None or why it stopped: a step-for-step port, in
+    Python floats, of scipy.optimize._minimize_scalar_bounded (BSD-3-Clause,
+    (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers); Brent (1973) ch. 5."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    ffulc = fnfc = fx = func(xf)
+    rat, e, num, fu, failure = 0.0, 0.0, 1, math.inf, None
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:       # a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:    # too near an edge: step to the middle
+                    rat = tol1 * (math.copysign(1.0, xm - xf) if xm - xf else 1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (math.copysign(1.0, rat) if rat else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= maxfun:
+            failure = "Maximum number of function calls reached."
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        failure = "NaN result encountered."
+    return xf, fx, num, failure
+
+
 def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) -> PeakResult:
     """Locate the c12_sq maximum inside the bracket.
 
-    A coarse log-spaced probe seeds scipy's bounded Brent search on
-    log(gamma_t), each duration solved once; scipy.optimize is imported only
-    for it, so sweeps never load it. A probe maximum on a bracket edge
-    (no interior peak) raises NoPeakError, an unconverged search SolverError.
+    A coarse log-spaced probe seeds a bounded Brent search (_bounded_brent,
+    numpy-free) on log(gamma_t) between the best probe's neighbours, each
+    duration solved once. A probe maximum on a bracket edge (no interior
+    peak) raises NoPeakError, an unconverged search SolverError.
     """
     shape = _as_shape(shape)
     lo, hi = bracket
@@ -353,13 +403,12 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) 
         raise NoPeakError(
             f"c12_sq is maximal at the bracket edge gamma_t={probes[k]:g}; "
             "no interior peak to refine")
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda lg: -row(math.exp(lg)).c12_sq, method="bounded",
-                          bounds=(math.log(probes[k - 1]), math.log(probes[k + 1])),
-                          options={"xatol": math.log1p(_PEAK_REL_TOL)})
-    if not res.success:
-        raise SolverError(f"the c12_sq peak search did not converge: {res.message}")
-    best = row(math.exp(res.x))
+    x, _, _, failure = _bounded_brent(lambda lg: -row(math.exp(lg)).c12_sq,
+                                      math.log(probes[k - 1]), math.log(probes[k + 1]),
+                                      math.log1p(_PEAK_REL_TOL))
+    if failure:
+        raise SolverError(f"the c12_sq peak search did not converge: {failure}")
+    best = row(math.exp(x))
     return PeakResult(shape=shape, gamma_t_star=best.gamma_t, c12_sq_star=best.c12_sq,
                       c11_at_peak=complex(best.c11_re, best.c11_im))
 

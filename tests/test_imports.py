@@ -1,10 +1,10 @@
 """Which scipy modules each entry point loads.
 
-The amplitude path is numpy alone: importing the package, run_point and
-the `sweep` command load no scipy module. A peak search loads
-scipy.optimize for its Brent refinement and a waveform solve loads
-scipy.signal for the ETD recurrence, each on first use. Every case runs in
-a fresh interpreter, since this test process has scipy loaded already.
+The amplitude path is numpy alone: importing the package, run_point, the
+peak search and the `sweep` and `peak` commands load no scipy module. A
+waveform solve loads scipy.signal for the ETD recurrence on first use.
+Every case runs in a fresh interpreter, since this test process has scipy
+loaded already.
 """
 
 import json
@@ -29,7 +29,9 @@ CASES = {
                   "code = pulsegate.cli.main(['sweep', '--shape', 'rect', '--num', '5',"
                   " '--out', out])\n"
                   "assert code == 0 and os.path.getsize(out)", [], ["scipy"]),
-    "find_peak": ("pulsegate.find_peak_c12('rect')", ["scipy.optimize"], ["scipy.signal"]),
+    "find_peak": ("pulsegate.find_peak_c12('rect')", [], ["scipy"]),
+    "cli-peak": ("code = pulsegate.cli.main(['peak', '--shape', 'rect'])\n"
+                 "assert code == 0", [], ["scipy"]),
     "solve_point": ("pulsegate.solve_point('rect', 1.0)", ["scipy.signal"], []),
 }
 

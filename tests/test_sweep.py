@@ -25,7 +25,7 @@ from pulsegate import (ComplexSignal, ConfigError, DurationRangeError, GridPolic
                        inner_product, mode_shapes_at, norm_sq, perturbative_extraction,
                        run_point, sample_pulse, solve_point, solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
-from pulsegate.sweep import _PANEL_DEGREE
+from pulsegate.sweep import _PANEL_DEGREE, _bounded_brent
 
 import _oracles as orc
 
@@ -91,6 +91,18 @@ class TestRunPoint:
         r = run_point("gauss", 1000.0)
         assert r.c11_sq > 0.95
         assert r.c12_sq < 0.05
+
+
+@pytest.mark.parametrize("solve", [lambda s: run_point(s, 1.0), lambda s: find_peak_c12(s),
+                                   lambda s: solve_point(s, 1.0)],
+                         ids=["run_point", "find_peak_c12", "solve_point"])
+@pytest.mark.parametrize("shape", ["custom", PulseShape.CUSTOM])
+def test_custom_is_refused_by_name(solve, shape):
+    # a custom pulse is a PulseSpec with its samples; by name alone there is
+    # no pulse to solve, so the name is refused like an unknown one
+    with pytest.raises(DurationRangeError,
+                       match="expected one of rect, rising-exp, sym-exp, gauss$"):
+        solve(shape)
 
 
 class TestSweep:
@@ -189,13 +201,9 @@ class TestFindPeak:
         assert res.gamma_t_star in solved
 
     def test_unconverged_refinement_raises(self, monkeypatch):
-        # find_peak_c12 imports minimize_scalar from scipy.optimize when it
-        # searches, so the capped search is patched in there
-        minimize_scalar = scipy.optimize.minimize_scalar
-
-        def capped(fun, **kwargs):
-            return minimize_scalar(fun, **{**kwargs, "options": {"maxiter": 3}})
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
+        # the refinement stops after 3 evaluations, short of its xatol
+        monkeypatch.setattr(sweep_module, "_bounded_brent",
+                            lambda *args: _bounded_brent(*args, maxfun=3))
         with pytest.raises(SolverError, match="did not converge"):
             find_peak_c12("rect")
 
@@ -215,6 +223,67 @@ class TestFindPeak:
     def test_bad_bracket_rejected(self):
         with pytest.raises(DurationRangeError):
             find_peak_c12("gauss", bracket=(5.0, 1.0))
+
+
+def assert_brent_matches_scipy(func, a, b, xatol, maxfun=500):
+    """_bounded_brent against scipy's bounded minimize_scalar on one
+    problem: the same x and f(x) bitwise, evaluation count and outcome."""
+    x, fun, nfev, failure = _bounded_brent(func, a, b, xatol, maxfun)
+    res = scipy.optimize.minimize_scalar(func, bounds=(a, b), method="bounded",
+                                         options={"xatol": xatol, "maxiter": maxfun})
+    assert [float(v).hex() for v in (x, fun)] == [float(v).hex() for v in (res.x, res.fun)]
+    assert nfev == res.nfev
+    assert (failure is None) == res.success
+    assert failure in (None, res.message)
+    return failure
+
+
+class TestBoundedBrent:
+    """find_peak_c12's refinement is a port of scipy's bounded Brent
+    (sweep._bounded_brent); scipy itself judges it."""
+
+    @pytest.mark.parametrize("shape", list(PEAKS))
+    def test_matches_scipy_in_the_peak_search(self, shape, monkeypatch):
+        # the searches of 25 brackets, their edges jittered by up to 0.1
+        # decade; each checks its own refinement and returns the port's
+        searched = []
+
+        def checked(func, a, b, xatol):
+            assert assert_brent_matches_scipy(func, a, b, xatol) is None
+            searched.append((a, b))
+            return _bounded_brent(func, a, b, xatol)
+        monkeypatch.setattr(sweep_module, "_bounded_brent", checked)
+        rng = np.random.default_rng(30)
+        for lo, hi in 10.0 ** (np.log10([0.1, 20.0]) + rng.uniform(-0.1, 0.1, (25, 2))):
+            find_peak_c12(shape, (float(lo), float(hi)))
+        assert len(set(searched)) > 5
+
+    @pytest.mark.parametrize("xatol", [1e-5, math.log1p(1e-3), 1e-9])
+    @pytest.mark.parametrize("func,a,b", [
+        (lambda x: x**4 - 3.0 * x**2 + x, 0.0, 2.0),    # smooth: parabolic steps
+        (lambda x: math.exp(x) - 2.0 * x, -3.0, 5.0),
+        (lambda x: abs(x - 0.1234), -1.0, 2.0),         # a kink: golden steps
+        (lambda x: x, 0.0, 1.0),                        # minimum on an edge: the nudge
+        (lambda x: -x, -2.0, -1.0),
+        (lambda x: 1.0, 0.0, 1.0),                      # flat
+    ], ids=["quartic", "exp", "abs", "rising", "falling", "constant"])
+    def test_matches_scipy_on_each_branch(self, func, a, b, xatol):
+        assert assert_brent_matches_scipy(func, a, b, xatol) is None
+
+    def test_matches_scipy_at_the_evaluation_cap(self):
+        failure = assert_brent_matches_scipy(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-5, maxfun=3)
+        assert failure == "Maximum number of function calls reached."
+
+    @pytest.mark.parametrize("func,fails", [
+        (lambda x: math.nan, True),
+        # NaN at the first point (0.382), which no later value displaces
+        (lambda x: math.nan if x > 0.38 else (x - 0.3) ** 2, True),
+        # NaN only where the search ends up rejecting, as scipy ignores it
+        (lambda x: math.nan if x > 0.5 else (x - 0.3) ** 2, False),
+    ], ids=["everywhere", "at-the-start", "past-the-minimum"])
+    def test_nan_fails_as_scipy_does(self, func, fails):
+        failure = assert_brent_matches_scipy(func, 0.0, 1.0, 1e-5)
+        assert failure == ("NaN result encountered." if fails else None)
 
 
 class TestModeShapes:
