@@ -7,22 +7,21 @@ two-photon output into conditional phase (c11), single-photon transfer
 and sweeps pulse duration for the four standard input shapes.
 """
 
-from .bloch import (FullBlochState, ResponseChain, SystemParams,
-                    decaying_response, full_bloch, linear_response,
-                    perturbative_extraction, second_order_excitation,
-                    solve_chain, third_order_response)
+from .bloch import (FullBlochState, ResponseChain, SystemParams, full_bloch,
+                    linear_response, perturbative_extraction,
+                    second_order_excitation, solve_chain, third_order_response)
 from .errors import (ConfigError, DurationRangeError, GridMismatchError,
                      IllConditionedFitError, InvalidRangeError, NoPeakError,
                      NormViolationError, PulseFileError, PulseGateError,
                      SolverError, StepInstabilityError, UndefinedModeError,
                      UnphysicalDecompositionError, UnsupportedSpanError)
-from .output import OutputPair, assemble_outputs, semiclassical_output
+from .output import OutputPair, assemble_outputs
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec,
                      default_grid_for, load_pulse_file, sample_pulse)
 from .signal import ComplexSignal, TimeGrid, inner_product, make_grid, norm_sq
 from .sweep import (PeakResult, PointSolution, SweepRow, find_peak_c12,
-                    mode_shapes_at, run_point, solve_point, solve_spec, sweep)
-from .twophoton import (LimitReport, ModeExpectations, OutputDecomposition,
-                        amplitudes, coherent_expectations, decompose, limit_report)
+                    run_point, solve_point, solve_spec, sweep)
+from .twophoton import (LimitReport, OutputDecomposition, amplitudes, decompose,
+                        limit_report)
 
 __version__ = "0.1.0"

@@ -126,13 +126,6 @@ def decay_block(x: np.ndarray, rate: float, dt: float, x_prev=None,
     return lfilter([1.0], [1.0, -E], g, zi=[carried])[0]
 
 
-def decaying_response(drive: ComplexSignal, rate: float) -> ComplexSignal:
-    """Integrate d s/dt = -rate*s + drive(t) with s(t_start) = 0, in the
-    drive's own dtype (the rate is real, so real and imaginary parts
-    decouple and a real drive stays in real arithmetic)."""
-    return ComplexSignal(drive.grid, decay_block(drive.values, rate, drive.grid.dt))
-
-
 def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams(),
                     u_start: complex = 0.0) -> ComplexSignal:
     """First-order dipole u = s1/i: causal response sqrt(2 Gamma)

@@ -6,15 +6,16 @@ Subcommands:
     peak      refine the photon-transfer maximum -> JSON record
     modes     export the two output mode waveforms -> CSV
 
-Exit codes: 0 success, 2 configuration error, 3 solver error, 4 no peak
-in bracket. Every file, the waveform CSVs of ``respond`` and ``modes``
-included, is written atomically (temp file + rename) with 17 significant
-digits, so identical invocations produce byte-identical output. CSV
-tables are formatted a block of rows at a time and streamed into the
-temp file, so no CSV table is held in memory as one string. An existing
-file is replaced by exchanging it with the temp file where the system
-can (Linux ``renameat2``), so that the replacement does not wait on a
-disk flush; see `_write_atomic`.
+Exit codes: 0 success, 2 configuration error (an unwritable output path
+among them), 3 solver error, 4 no peak in bracket. Every file, the
+waveform CSVs of ``respond`` and ``modes`` included, is written
+atomically (temp file + rename) with 17 significant digits, so identical
+invocations produce byte-identical output. CSV tables are formatted a
+block of rows at a time and streamed into the temp file, so no CSV table
+is held in memory as one string. An existing file is replaced by
+exchanging it with the temp file where the system can (Linux
+``renameat2``), so that the replacement does not wait on a disk flush;
+see `_write_atomic`.
 
 A block's text is byte for byte what ``'%.17g' % x`` gives each value,
 built by a numpy kernel (`_fill_slots`), one call per block over the
@@ -105,11 +106,12 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
     The temp file, which mkstemp makes 0600, takes the permission bits of
     an existing `path`, or those a plain open gives a new file under the
-    umask."""
+    umask. An OSError, the path's or the disk's, is raised as ConfigError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, _file_mode(path))
             fh.writelines(chunks)
@@ -117,9 +119,11 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
             os.unlink(tmp)
         else:
             os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

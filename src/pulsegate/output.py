@@ -55,11 +55,3 @@ def check_linear_norm(n1: float) -> None:
         raise NormViolationError(
             f"linear output norm {n1:.8f} deviates from 1 beyond {NORM_TOLERANCE:g}; "
             "grid span or step is inadequate for this pulse")
-
-
-def semiclassical_output(pair: OutputPair, alpha: complex) -> ComplexSignal:
-    """Truncated output field a*b1 + a|a|^2*b3 for drive amplitude a."""
-    a = complex(alpha)
-    return ComplexSignal(pair.linear.grid,
-                         a * pair.linear.values
-                         + (a * abs(a) ** 2) * pair.cubic.values)

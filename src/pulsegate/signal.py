@@ -71,9 +71,6 @@ class ComplexSignal:
     def times(self) -> np.ndarray:
         return self.grid.times()
 
-    def scaled(self, c: complex) -> "ComplexSignal":
-        return ComplexSignal(self.grid, c * self.values)
-
 
 def require_finite(x) -> None:
     """Raise ValueError unless every entry of x is finite. Given a sum over

@@ -118,11 +118,15 @@ def _as_shape(shape: ShapeLike) -> PulseShape:
     raise DurationRangeError(f"unknown pulse shape {shape!r}; expected one of {names}")
 
 
-def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
+def _check_gamma_t(gamma_t: float) -> None:
     if not (GAMMA_T_MIN <= gamma_t <= GAMMA_T_MAX):
         raise DurationRangeError(
             f"gamma_t={gamma_t:g} outside the supported range "
             f"[{GAMMA_T_MIN:g}, {GAMMA_T_MAX:g}]")
+
+
+def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
+    _check_gamma_t(gamma_t)
     return PulseSpec(shape, float(gamma_t))
 
 
@@ -303,14 +307,17 @@ def run_point(shape: ShapeLike, gamma_t: float) -> SweepRow:
 
 def sweep_durations(gt_min: float, gt_max: float, n_points: int,
                     log_spaced: bool = True) -> np.ndarray:
-    """The duration grid a sweep will evaluate (validated)."""
+    """The duration grid a sweep will evaluate, validated before any point
+    is solved: the first duration out of range raises run_point's error."""
     if not (0 < gt_min < gt_max):
         raise DurationRangeError(f"need 0 < gt_min < gt_max, got ({gt_min}, {gt_max})")
     if n_points < 2:
         raise DurationRangeError(f"need at least 2 sweep points, got {n_points}")
-    if log_spaced:
-        return np.logspace(math.log10(gt_min), math.log10(gt_max), n_points)
-    return np.linspace(gt_min, gt_max, n_points)
+    durations = (np.logspace(math.log10(gt_min), math.log10(gt_max), n_points) if log_spaced
+                 else np.linspace(gt_min, gt_max, n_points))
+    for gt in durations.tolist():
+        _check_gamma_t(gt)
+    return durations
 
 
 def sweep(shape: ShapeLike, gt_min: float = DEFAULT_SWEEP_RANGE[0],
@@ -411,10 +418,3 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) 
     best = row(math.exp(x))
     return PeakResult(shape=shape, gamma_t_star=best.gamma_t, c12_sq_star=best.c12_sq,
                       c11_at_peak=complex(best.c11_re, best.c11_im))
-
-
-def mode_shapes_at(shape: ShapeLike, gamma_t: float,
-                   policy: GridPolicy = DEFAULT_POLICY,
-                   ) -> tuple[ComplexSignal, ComplexSignal]:
-    """The two orthonormal output mode waveforms at one duration."""
-    return solve_point(shape, gamma_t, policy).modes()

@@ -18,13 +18,13 @@ circle violation only from about -5e-5 to -LIMIT_TOL: amplitudes raises on
 a larger one.
 
 All four numbers follow from three overlap integrals, ||b1||^2, <b1|b3>
-and ||b3||^2, which amplitudes turns into them: the streamed sweep
-feeds it its Gram matrix, and decompose the trapezoid sums of a stored
-output pair, from which it then forms psi1 and psi2. psi1 is b1 rescaled
-by its quadrature norm (unity within 1e-4, enforced upstream); using the
-rescaled mode in the projection makes orthogonality and the
-reconstruction of b3 exact at the discrete level instead of merely within
-the quadrature tolerance.
+and ||b3||^2, which amplitudes turns into them: run_point feeds it the
+Gram matrix of the continuum panels (sweep._continuum_gram), and
+decompose the trapezoid sums of a stored output pair, from which it then
+forms psi1 and psi2. psi1 is b1 rescaled by its quadrature norm (unity
+within 1e-4, enforced upstream); using the rescaled mode in the
+projection makes orthogonality and the reconstruction of b3 exact at the
+discrete level instead of merely within the quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class OutputDecomposition:
     @property
     def c12_sq(self) -> float:
         return self.c12 ** 2
-
-
-@dataclass(frozen=True)
-class ModeExpectations:
-    """Coherent-state expectation values of the two output mode operators."""
-
-    a1: complex
-    a2: complex
 
 
 @dataclass(frozen=True)
@@ -126,15 +118,6 @@ def decompose(pair: OutputPair) -> OutputDecomposition:
     psi2 = ComplexSignal(b1.grid, residual.values / rho) if rho > MODE_NORM_FLOOR else None
     return OutputDecomposition(psi1=psi1, psi2=psi2, c11=c11,
                                c12=math.sqrt(c12_sq), cr_sq=cr_sq, overlap=v)
-
-
-def coherent_expectations(alpha: complex, c11: complex, c12: float) -> ModeExpectations:
-    """Mode amplitudes seen in the averaged output of a coherent drive:
-    <a1> = a + (c11 - 1) a |a|^2,  <a2> = (c12/sqrt(2)) a |a|^2."""
-    a = complex(alpha)
-    cubic = a * abs(a) ** 2
-    return ModeExpectations(a1=a + (c11 - 1) * cubic,
-                            a2=(c12 / math.sqrt(2)) * cubic)
 
 
 def limit_report(overlap: complex, c12_sq: float) -> LimitReport:

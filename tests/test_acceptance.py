@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import pulsegate as pg
+from pulsegate.bloch import decay_block
 from pulsegate.sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_RANGE, sweep_durations
 
 import _oracles as orc
@@ -144,7 +145,7 @@ def test_criterion_4_window(default_audit):
 
 def test_criterion_5_rising_separation():
     policy = pg.GridPolicy(samples_per_unit=4000, lead_pad=8.0)
-    psi1, _ = pg.mode_shapes_at("rising-exp", 1.0, policy)
+    psi1, _ = pg.solve_point("rising-exp", 1.0, policy).modes()
     t = psi1.times()
     worst = float(np.max(np.abs(psi1.values[t < 0])))
     print(f"criterion 5: max |psi1(t<0)| = {worst:.2e} (< 1e-6)")
@@ -222,10 +223,9 @@ def test_criterion_8_excitation_identity(peaks, shape):
     b = pg.sample_pulse(spec, grid)
     u = pg.linear_response(b)
     s1 = 1j * u.values      # u = s1/i
-    drive = pg.ComplexSignal(grid, 1j * math.sqrt(2.0) * (
-        b.values * np.conj(s1) - np.conj(b.values) * s1))
-    sz2_ode = pg.decaying_response(drive, rate=2.0)
-    dev = float(np.max(np.abs(sz2_ode.values - pg.second_order_excitation(u).values)))
+    drive = 1j * math.sqrt(2.0) * (b.values * np.conj(s1) - np.conj(b.values) * s1)
+    sz2_ode = decay_block(drive, 2.0, grid.dt)
+    dev = float(np.max(np.abs(sz2_ode - pg.second_order_excitation(u).values)))
     print(f"criterion 8 [{shape}]: max |sz2_ode - |s1|^2| = {dev:.2e} (< 1e-8)")
     assert dev < 1e-8
 

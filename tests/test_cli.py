@@ -265,7 +265,7 @@ class TestModesCmd:
         assert trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * trapezoid(p2**2, t)
 
     def test_undefined_mode_exits_3(self, tmp_path, monkeypatch, capsys):
-        # the command and mode_shapes_at raise the same UndefinedModeError
+        # the command and PointSolution.modes raise the same UndefinedModeError
         sweep_module = importlib.import_module("pulsegate.sweep")
         decompose = sweep_module.decompose
         monkeypatch.setattr(sweep_module, "decompose",
@@ -277,7 +277,7 @@ class TestModesCmd:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
         with pytest.raises(errors.UndefinedModeError) as exc:
-            sweep_module.mode_shapes_at("gauss", 1.0, GridPolicy(samples_per_unit=400))
+            sweep_module.solve_point("gauss", 1.0, GridPolicy(samples_per_unit=400)).modes()
         assert str(exc.value) == message
 
 
@@ -529,7 +529,7 @@ class TestCsvWriter:
     def test_a_directory_in_the_way_is_not_swapped(self, tmp_path):
         target = tmp_path / "w.csv"
         target.mkdir()
-        with pytest.raises(OSError):
+        with pytest.raises(errors.ConfigError, match=f"^cannot write {target}: "):
             cli._write_atomic(target, [b"t,x\n"])
         assert target.is_dir() and list(tmp_path.iterdir()) == [target]
 
@@ -545,6 +545,49 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "find_peak_c12", fail)
         assert run("peak", "--shape", "gauss") == code
         assert capsys.readouterr().err == "error: boom\n"
+
+    # each command's argv and the suffix it appends to --out
+    WRITERS = {"respond": (["respond", "--shape", "rect", "--gamma-t", "1", *FAST],
+                           ".signals.csv"),
+               "sweep": (["sweep", "--shape", "rect", "--num", "3"], ""),
+               "peak": (["peak", "--shape", "rect"], ""),
+               "modes": (["modes", "--shape", "rect", "--gamma-t", "1", *FAST], "")}
+
+    @pytest.mark.parametrize("blocker", ["under-a-file", "a-directory"])
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_unwritable_out_exits_2(self, command, blocker, tmp_path, capsys):
+        argv, suffix = self.WRITERS[command]
+        if blocker == "under-a-file":
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "x"
+        else:
+            out = tmp_path / "adir"
+            (tmp_path / f"adir{suffix}").mkdir()
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}{suffix}: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("flag, lo, hi", [("--to", 0.01, 1e5), ("--from", 1e-4, 1000.0)])
+    def test_sweep_out_of_range_solves_nothing(self, flag, lo, hi, tmp_path, monkeypatch,
+                                               capsys):
+        # refused with the error run_point gives the first duration outside
+        # [1e-3, 1e4], before run_point is called at all
+        sweep_module = importlib.import_module("pulsegate.sweep")
+        gts = np.logspace(math.log10(lo), math.log10(hi), 121).tolist()
+        with pytest.raises(errors.DurationRangeError) as exc:
+            sweep_module.run_point("rect", next(g for g in gts if not 1e-3 <= g <= 1e4))
+
+        def never(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(sweep_module, "run_point", never)
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--shape", "rect", flag, lo if flag == "--from" else hi,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not out.exists()
 
 
 class TestHugeGridExtent:

@@ -4,7 +4,7 @@ import pytest
 from pulsegate import (ComplexSignal, GridPolicy, NormViolationError,
                        PulseSpec, ResponseChain, assemble_outputs,
                        default_grid_for, full_bloch, inner_product, norm_sq,
-                       sample_pulse, semiclassical_output, solve_chain)
+                       sample_pulse, solve_chain)
 
 import _oracles as orc
 
@@ -72,19 +72,6 @@ class TestAssembleOutputs:
 
 
 class TestSemiclassicalOutput:
-    def test_zero_amplitude(self):
-        _, _, pair = solve_pair(PulseSpec.gaussian, 1.0)
-        assert not semiclassical_output(pair, 0.0).values.any()
-
-    def test_cubic_scaling(self):
-        _, _, pair = solve_pair(PulseSpec.gaussian, 1.0)
-        out1 = semiclassical_output(pair, 0.05).values
-        out2 = semiclassical_output(pair, 0.10).values
-        # subtracting the linear part leaves rounding at the eps*|alpha b1| level
-        cubic1 = out1 - 0.05 * pair.linear.values
-        cubic2 = out2 - 0.10 * pair.linear.values
-        np.testing.assert_allclose(cubic2, 8 * cubic1, rtol=1e-9, atol=1e-15)
-
     @pytest.mark.parametrize("make", ALL_BUILTINS)
     def test_matches_full_bloch_at_weak_drive(self, make):
         policy = GridPolicy(samples_per_unit=1000)
@@ -92,7 +79,8 @@ class TestSemiclassicalOutput:
         alpha = 0.05
         state = full_bloch(b, alpha)
         full_out = alpha * b.values + 1j * np.sqrt(2.0) * (1j * state.v.values)
-        trunc = semiclassical_output(pair, alpha).values
+        # the output truncated at third order, a b1 + a|a|^2 b3
+        trunc = alpha * pair.linear.values + alpha * abs(alpha) ** 2 * pair.cubic.values
         diff = ComplexSignal(b.grid, full_out - trunc)
         rel = np.sqrt(norm_sq(diff) / norm_sq(ComplexSignal(b.grid, full_out)))
         assert rel < 1e-3

@@ -22,7 +22,7 @@ from pulsegate import twophoton
 from pulsegate import (ComplexSignal, ConfigError, DurationRangeError, GridPolicy,
                        NoPeakError, NormViolationError, PulseShape, PulseSpec, SolverError,
                        SystemParams, assemble_outputs, default_grid_for, find_peak_c12,
-                       inner_product, mode_shapes_at, norm_sq, perturbative_extraction,
+                       inner_product, norm_sq, perturbative_extraction,
                        run_point, sample_pulse, solve_point, solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
 from pulsegate.sweep import _PANEL_DEGREE, _bounded_brent
@@ -289,7 +289,7 @@ class TestBoundedBrent:
 class TestModeShapes:
     def test_rising_exp_modes_at_peak(self):
         policy = GridPolicy(samples_per_unit=4000, lead_pad=8.0)
-        psi1, psi2 = mode_shapes_at("rising-exp", 1.0, policy)
+        psi1, psi2 = solve_point("rising-exp", 1.0, policy).modes()
         t = psi1.times()
         assert np.max(np.abs(psi1.values[t < 0])) < 1e-6
         np.testing.assert_allclose(psi2.values, orc.rising_psi2_unit(t), atol=2e-4)
@@ -297,7 +297,7 @@ class TestModeShapes:
     @pytest.mark.parametrize("shape", ["rect", "sym-exp", "gauss"])
     def test_delayed_output_changes_sign(self, shape):
         gt = PEAKS[shape][0]
-        psi1, _ = mode_shapes_at(shape, gt)
+        psi1, _ = solve_point(shape, gt).modes()
         re = psi1.values.real
         peak = np.max(np.abs(re))
         assert re.max() > 0.05 * peak
@@ -320,7 +320,7 @@ class TestModeShapes:
         assert got2 == pytest.approx(ov2, abs=2e-3)
 
     def test_mode_normalization(self):
-        psi1, psi2 = mode_shapes_at("gauss", 2.0)
+        psi1, psi2 = solve_point("gauss", 2.0).modes()
         assert norm_sq(psi1) == pytest.approx(1.0, abs=1e-6)
         assert norm_sq(psi2) == pytest.approx(1.0, abs=1e-9)
 

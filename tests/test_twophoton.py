@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pulsegate import (ComplexSignal, OutputPair, UnphysicalDecompositionError,
-                       amplitudes, coherent_expectations, decompose,
-                       inner_product, limit_report, make_grid, norm_sq,
-                       solve_point)
+                       amplitudes, decompose, inner_product, limit_report,
+                       make_grid, norm_sq, solve_point)
 
 import _oracles as orc
 
@@ -202,29 +199,6 @@ class TestSharedAmplitudes:
         dec = sol.decomposition
         assert (dec.overlap, dec.c11, dec.c12, dec.cr_sq) == (v, c11, math.sqrt(c12_sq), cr_sq)
         assert sol.limit == limit_report(v, dec.c12_sq)
-
-
-class TestCoherentExpectations:
-    def test_linear_regime(self):
-        m = coherent_expectations(0.1, 1.0 + 0j, 0.0)
-        assert m.a1 == pytest.approx(0.1)
-        assert m.a2 == 0
-
-    def test_phase_flip_arithmetic(self):
-        m = coherent_expectations(0.1, -1.0 + 0j, 0.0)
-        assert m.a1 == pytest.approx(0.098)
-
-    def test_transfer_arithmetic(self):
-        m = coherent_expectations(0.1, 1.0 + 0j, 1.0)
-        assert m.a1 == pytest.approx(0.1)
-        assert m.a2 == pytest.approx(7.0710678118654754e-4, rel=1e-12)
-
-    @given(a=st.floats(0.01, 0.5), c11re=st.floats(-1, 1), c12=st.floats(0, 1))
-    @settings(max_examples=30, deadline=None)
-    def test_formulas_directly(self, a, c11re, c12):
-        m = coherent_expectations(a, c11re + 0j, c12)
-        assert m.a1 == pytest.approx(a + (c11re - 1) * a**3, rel=1e-12)
-        assert m.a2 == pytest.approx(c12 / math.sqrt(2) * a**3, rel=1e-12)
 
 
 class TestQuantumLimit:
