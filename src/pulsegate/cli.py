@@ -12,10 +12,8 @@ waveform CSVs of ``respond`` and ``modes`` included, is written
 atomically (temp file + rename) with 17 significant digits, so identical
 invocations produce byte-identical output. CSV tables are formatted a
 block of rows at a time and streamed into the temp file, so no CSV table
-is held in memory as one string. An existing file is replaced by
-exchanging it with the temp file where the system can (Linux
-``renameat2``), so that the replacement does not wait on a disk flush;
-see `_write_atomic`.
+is held in memory as one string. ``respond`` puts its two files in
+place only once both are written; see `_write_atomic`.
 
 A block's text is byte for byte what ``'%.17g' % x`` gives each value,
 built by a numpy kernel (`_fill_slots`), one call per block over the
@@ -92,13 +90,13 @@ def _file_mode(path: Path) -> int:
         return 0o666 & ~umask
 
 
-def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write the byte chunks to a temp file beside `path`, then put it in
-    place of `path`. If anything raises, the temp file is removed and an
-    existing `path` is left as it was.
+def _write_atomic(*files: tuple[Path, Iterable[bytes]]) -> None:
+    """Write each (path, chunks) pair to a temp file beside `path` and, once
+    all are complete, put each in place. If anything raises before then, a
+    `path` that is a directory among it, existing paths are left as they were.
 
     An existing `path` is swapped with the temp file, whose name then holds
-    the old text and is unlinked. A rename over an existing file would be
+    the old text; every temp file left is unlinked. A rename over a file is
     as atomic, but ext4 (auto_da_alloc) then writes the new file out to
     disk before the rename returns, so each replacement would wait on the
     disk: 0.1-1 s per waveform file. Where the swap is unavailable, or
@@ -107,24 +105,25 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     The temp file, which mkstemp makes 0600, takes the permission bits of
     an existing `path`, or those a plain open gives a new file under the
     umask. An OSError, the path's or the disk's, is raised as ConfigError."""
-    path = Path(path)
-    tmp = None
+    tmps = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fd, _file_mode(path))
-            fh.writelines(chunks)
-        if _exchange(tmp, path):
+        for path, chunks in files:
+            if path.is_dir():
+                raise ConfigError(f"cannot write {path}: Is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            tmps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fd, _file_mode(path))
+                fh.writelines(chunks)
+        for (path, _), tmp in zip(files, tmps):
+            if not _exchange(tmp, path):
+                os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp in filter(os.path.exists, tmps):    # a temp file, or an old file swapped out
             os.unlink(tmp)
-        else:
-            os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
 
 
 # -- the 17-digit kernel -------------------------------------------------
@@ -331,15 +330,11 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
                    help="pulse duration in units 1/Gamma (built-in shapes)")
 
 
-def _policy_from(args) -> GridPolicy:
-    return GridPolicy(samples_per_unit=args.points_per_unit,
-                      tail=args.tail, lead_pad=args.lead_pad)
-
-
 def _solution_from(args) -> PointSolution:
     if args.stride < 1:
         raise ConfigError(f"--stride must be at least 1, got {args.stride}")
-    policy = _policy_from(args)
+    policy = GridPolicy(samples_per_unit=args.points_per_unit,
+                        tail=args.tail, lead_pad=args.lead_pad)
     if args.shape == "custom":
         if args.pulse_file is None:
             raise ConfigError("--shape custom requires --pulse-file")
@@ -370,9 +365,8 @@ def _summary_dict(sol: PointSolution) -> dict:
 
 
 def _json_text(record: dict) -> str:
-    def enc(x):
-        return _fmt(x) if isinstance(x, float) else x
-    return json.dumps({k: enc(v) for k, v in record.items()}, indent=2) + "\n"
+    return json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in record.items()},
+                      indent=2) + "\n"
 
 
 def cmd_respond(args) -> int:
@@ -385,7 +379,6 @@ def cmd_respond(args) -> int:
                              args.stride)
     header = ("t,b_in_re,b_in_im,b1_re,b1_im,b3_re,b3_im,"
               "psi1_re,psi1_im,psi2_re,psi2_im")
-    _write_atomic(Path(f"{out}.signals.csv"), _csv(header, cols))
     record = _summary_dict(sol)
     if args.format == "json":
         text = _json_text(record)
@@ -393,7 +386,8 @@ def cmd_respond(args) -> int:
         row = ",".join(str(v) if isinstance(v, (str, bool)) else _fmt(v)
                        for v in record.values())
         text = ",".join(record) + "\n" + row + "\n"
-    _write_atomic(Path(f"{out}.summary.{args.format}"), [text.encode()])
+    _write_atomic((Path(f"{out}.signals.csv"), _csv(header, cols)),
+                  (Path(f"{out}.summary.{args.format}"), [text.encode()]))
     print(_json_text(record), end="")
     return 0
 
@@ -401,8 +395,8 @@ def cmd_respond(args) -> int:
 def cmd_sweep(args) -> int:
     rows = sweep(args.shape, args.gt_min, args.gt_max, args.num, log_spaced=not args.linear)
     out = Path(args.out) if args.out else Path(f"sweep_{args.shape}.csv")
-    _write_atomic(out, _csv(SWEEP_HEADER, [[getattr(r, name) for r in rows]
-                                           for name in SWEEP_HEADER.split(",")]))
+    _write_atomic((out, _csv(SWEEP_HEADER, [[getattr(r, name) for r in rows]
+                                            for name in SWEEP_HEADER.split(",")])))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -416,7 +410,7 @@ def cmd_peak(args) -> int:
               "c11_at_peak_im": res.c11_at_peak.imag}
     text = _json_text(record)
     if args.out:
-        _write_atomic(Path(args.out), [text.encode()])
+        _write_atomic((Path(args.out), [text.encode()]))
     print(text, end="")
     return 0
 
@@ -426,7 +420,7 @@ def cmd_modes(args) -> int:
     modes = sol.modes()
     out = Path(args.out) if args.out else Path(f"modes_{args.shape}.csv")
     cols = _waveform_columns(sol, modes, args.stride)
-    _write_atomic(out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im", cols))
+    _write_atomic((out, _csv("t,psi1_re,psi1_im,psi2_re,psi2_im", cols)))
     print(f"wrote {len(cols[0])} rows to {out}")
     return 0
 
@@ -488,15 +482,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoPeakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PulseGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 4 if isinstance(exc, NoPeakError) else 3
 
 
 if __name__ == "__main__":

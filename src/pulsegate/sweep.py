@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-from .bloch import SystemParams, solve_chain
+from .bloch import solve_chain
 from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
                      UndefinedModeError)
 from .output import OutputPair, assemble_outputs, check_linear_norm
@@ -143,11 +143,10 @@ def solve_spec(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> PointSol
             f"the waveform grid has {grid.n} nodes, over the budget of "
             f"{WAVEFORM_NODE_BUDGET}; use fewer points per unit, or the "
             "amplitude-only sweep and peak, which build no grid")
-    params = SystemParams()
     b_in = sample_pulse(spec, grid)
     geo = GEOMETRY.get(spec.shape)      # None for a custom pulse, which starts at rest
-    chain = solve_chain(b_in, params, geo.lead_rate / spec.duration if geo else 0.0)
-    pair = assemble_outputs(b_in, chain, params)
+    chain = solve_chain(b_in, lead_rate=geo.lead_rate / spec.duration if geo else 0.0)
+    pair = assemble_outputs(b_in, chain)
     del chain  # the dipole orders are large at long durations; done with them
     dec = decompose(pair)
     return PointSolution(spec=spec, gamma_t=spec.duration, grid=grid, b_in=b_in,
@@ -308,16 +307,15 @@ def run_point(shape: ShapeLike, gamma_t: float) -> SweepRow:
 def sweep_durations(gt_min: float, gt_max: float, n_points: int,
                     log_spaced: bool = True) -> np.ndarray:
     """The duration grid a sweep will evaluate, validated before any point
-    is solved: the first duration out of range raises run_point's error."""
+    is solved: a bound out of range raises run_point's error."""
     if not (0 < gt_min < gt_max):
         raise DurationRangeError(f"need 0 < gt_min < gt_max, got ({gt_min}, {gt_max})")
     if n_points < 2:
         raise DurationRangeError(f"need at least 2 sweep points, got {n_points}")
-    durations = (np.logspace(math.log10(gt_min), math.log10(gt_max), n_points) if log_spaced
-                 else np.linspace(gt_min, gt_max, n_points))
-    for gt in durations.tolist():
-        _check_gamma_t(gt)
-    return durations
+    _check_gamma_t(gt_min)
+    _check_gamma_t(gt_max)
+    return (np.logspace(math.log10(gt_min), math.log10(gt_max), n_points) if log_spaced
+            else np.linspace(gt_min, gt_max, n_points))
 
 
 def sweep(shape: ShapeLike, gt_min: float = DEFAULT_SWEEP_RANGE[0],

@@ -225,6 +225,14 @@ def drive_window(spec, grid):
     return min(max(_nodes_through(grid, spec.drive_end()) + 1, 2), grid.n)
 
 
+def _stepped(x, dt, prev):
+    """decay_block at rate 1 over the drive x, continued from prev = (drive,
+    state) at the node before x, or from rest on x's first node if None."""
+    if prev is None:
+        return decay_block(x, 1.0, dt)
+    return decay_block(np.r_[prev[0], x], 1.0, dt, prev[1])[1:]
+
+
 def stepped_output_gram(spec, grid):
     """Trapezoid Gram matrix [[<b1|b1>, <b1|b3>], [<b3|b1>, <b3|b3>]] of the
     outputs of a built-in pulse on `grid`, with every drive-window node
@@ -242,7 +250,7 @@ def stepped_output_gram(spec, grid):
     n = drive_window(spec, grid)
     rt2 = math.sqrt(2.0)
     gram = np.zeros((2, 2))
-    state = (None, 0.0, None, 0.0)
+    prev = (None, None)   # (drive, state) of u and of w at the node before a block
     lam = _leading_rate(spec)
     if lam is not None:
         lead = grid.t_start - dt * np.arange(math.ceil(LEAD_IN / (1.0 + lam) / dt), 0, -1)
@@ -252,15 +260,15 @@ def stepped_output_gram(spec, grid):
         x3 = -2.0 * rt2 * b
         x3 *= u * u
         w = decay_block(x3, 1.0, dt)
-        state = (x1[-1], u[-1], x3[-1], w[-1])
+        prev = ((x1[-1], u[-1]), (x3[-1], w[-1]))
     for a in range(0, n, BLOCK_NODES):
         b = _builtin_values(spec.shape, spec.duration, grid.times(a, min(a + BLOCK_NODES, n)), dt)
         x1 = rt2 * b
-        u = decay_block(x1, 1.0, dt, *state[:2])
+        u = _stepped(x1, dt, prev[0])
         x3 = -2.0 * rt2 * b
         x3 *= u * u
-        w = decay_block(x3, 1.0, dt, *state[2:])
-        state = (x1[-1], u[-1], x3[-1], w[-1])
+        w = _stepped(x3, dt, prev[1])
+        prev = ((x1[-1], u[-1]), (x3[-1], w[-1]))
         b1 = u * -rt2
         b1 += b
         b3 = w * -rt2

@@ -8,7 +8,7 @@ from pulsegate import (ComplexSignal, GridPolicy,
                        SystemParams, default_grid_for, full_bloch,
                        linear_response, make_grid, norm_sq,
                        perturbative_extraction, sample_pulse,
-                       second_order_excitation, solve_chain,
+                       second_order_excitation, solve_chain, solve_point,
                        third_order_response)
 from pulsegate import bloch
 from pulsegate.bloch import FullBlochState, _scaled_drive, decay_block
@@ -59,24 +59,21 @@ class TestLinearResponse:
         rhs = c * linear_response(b).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
-    def test_chained_blocks_are_bitwise_the_whole_array(self, block):
-        b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
-        x = np.sqrt(2.0) * b.values
-        u = linear_response(b).values
-        got = [0.0]
-        for a in range(1, len(x), block):
-            got.extend(decay_block(x[a:a + block], 1.0, b.grid.dt, x[a - 1], got[-1]))
-        np.testing.assert_array_equal(got, u)
-
     def test_start_state_is_the_first_node(self):
-        # a chain started in state u0 on the first node is the chain
-        # continued from that node in that state
         b, _ = pulse_and_grid(PulseSpec.rectangular, 1.0)
-        x = np.sqrt(2.0) * b.values
         u = linear_response(b, u_start=0.3).values
         assert u[0] == 0.3
-        np.testing.assert_array_equal(u[1:], decay_block(x[1:], 1.0, b.grid.dt, x[0], 0.3))
+
+    @pytest.mark.parametrize("shape", ["rect", "rising-exp", "sym-exp", "gauss"])
+    def test_ringdown_is_the_exact_decay(self, shape):
+        # past the drive u is u_m e^{-k dt} over about 2e6 nodes at gamma_t
+        # 0.01; a chain that multiplies by the rounded e^{-dt} at every node
+        # drifts from it by 1e-11
+        sol = solve_point(shape, 0.01)
+        m = np.flatnonzero(sol.b_in.values)[-1] + 1
+        u = sol.pair.linear.values[m:] / -np.sqrt(2.0)    # b1 = -sqrt2 u there
+        decay = u[0] * np.exp(-sol.grid.dt * np.arange(len(u)))
+        assert np.max(np.abs(u / decay - 1)) <= 1e-13
 
     def test_causality(self):
         b, g = pulse_and_grid(PulseSpec.rectangular, 1.0)
@@ -145,6 +142,29 @@ class TestDecayingResponse:
         ref = (decay_block(np.ascontiguousarray(x.real), rate, g.dt)
                + 1j * decay_block(np.ascontiguousarray(x.imag), rate, g.dt))
         assert np.max(np.abs(got - ref)) <= 1e-15
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_the_recurrence_in_long_double(self, kind):
+        # 400k nodes at rate*dt = 5e-5; a chain that multiplies by the
+        # rounded decay factor at every node is off by 4e-13 of the peak
+        dt, n = 5e-5, 400_000
+        t = (np.arange(n) - n / 2) * dt
+        x = np.exp(-(t / 3) ** 2) * (1 + 0.3 * np.sin(5 * t))
+        if kind == "complex":
+            x = x * np.exp(1.7j * t)
+        _, w0, w1 = bloch._etd_weights(1.0, dt)
+        ld = np.clongdouble if kind == "complex" else np.longdouble
+        g = np.longdouble(w1) * x.astype(ld)
+        g[1:] += np.longdouble(w0) * x[:-1].astype(ld)
+        g[0] = 0
+        decay, s, ref = np.exp(-np.longdouble(dt)), ld(0), np.empty(n, dtype=ld)
+        for i, gi in enumerate(g):
+            s = decay * s + gi
+            ref[i] = s
+        got = decay_block(x, 1.0, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestThirdOrder:

@@ -484,7 +484,7 @@ class TestCsvWriter:
             raise RuntimeError("mid-stream")
 
         with pytest.raises(RuntimeError, match="mid-stream"):
-            cli._write_atomic(target, chunks())
+            cli._write_atomic((target, chunks()))
         assert target.read_bytes() == b"old,file\n1,2\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -502,7 +502,7 @@ class TestCsvWriter:
         target = tmp_path / "w.csv"
         target.write_bytes(b"old,file\n1,2\n")
         assert cli._exchange(str(tmp_path / "absent"), target) is False
-        cli._write_atomic(target, [b"t,x\n", b"3,4\n"])
+        cli._write_atomic((target, [b"t,x\n", b"3,4\n"]))
         assert target.read_bytes() == b"t,x\n3,4\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -518,8 +518,8 @@ class TestCsvWriter:
         kept.chmod(0o640)
         umask = os.umask(0o022)
         try:
-            cli._write_atomic(tmp_path / "new.csv", [b"t,x\n"])
-            cli._write_atomic(kept, [b"t,x\n"])
+            cli._write_atomic((tmp_path / "new.csv", [b"t,x\n"]))
+            cli._write_atomic((kept, [b"t,x\n"]))
         finally:
             os.umask(umask)
         assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o644
@@ -530,7 +530,7 @@ class TestCsvWriter:
         target = tmp_path / "w.csv"
         target.mkdir()
         with pytest.raises(errors.ConfigError, match=f"^cannot write {target}: "):
-            cli._write_atomic(target, [b"t,x\n"])
+            cli._write_atomic((target, [b"t,x\n"]))
         assert target.is_dir() and list(tmp_path.iterdir()) == [target]
 
 
@@ -569,15 +569,32 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_respond_writes_no_signals_without_its_summary(self, existing, tmp_path, capsys):
+        argv, _ = self.WRITERS["respond"]
+        out = tmp_path / "rp" / "x"
+        signals = tmp_path / "rp" / "x.signals.csv"
+        (tmp_path / "rp" / "x.summary.json").mkdir(parents=True)
+        if existing:
+            signals.write_bytes(b"old,signals\n1,2\n")
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}.summary.json: ")
+        assert err.count("\n") == 1
+        if existing:
+            assert signals.read_bytes() == b"old,signals\n1,2\n"
+        else:
+            assert not signals.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("flag, lo, hi", [("--to", 0.01, 1e5), ("--from", 1e-4, 1000.0)])
     def test_sweep_out_of_range_solves_nothing(self, flag, lo, hi, tmp_path, monkeypatch,
                                                capsys):
-        # refused with the error run_point gives the first duration outside
+        # refused with the error run_point gives the bound outside
         # [1e-3, 1e4], before run_point is called at all
         sweep_module = importlib.import_module("pulsegate.sweep")
-        gts = np.logspace(math.log10(lo), math.log10(hi), 121).tolist()
         with pytest.raises(errors.DurationRangeError) as exc:
-            sweep_module.run_point("rect", next(g for g in gts if not 1e-3 <= g <= 1e4))
+            sweep_module.run_point("rect", lo if flag == "--from" else hi)
 
         def never(*args):
             raise AssertionError("a point was solved")
@@ -587,6 +604,14 @@ class TestExitCodes:
         assert run("sweep", "--shape", "rect", flag, lo if flag == "--from" else hi,
                    "--out", out) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not out.exists()
+
+
+    def test_sweep_to_inf_names_inf(self, tmp_path, capfd):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--shape", "rect", "--to", "inf", "--out", out) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: gamma_t=inf outside") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -1,10 +1,9 @@
-"""Which scipy modules each entry point loads.
+"""No entry point loads scipy.
 
-The amplitude path is numpy alone: importing the package, run_point, the
-peak search and the `sweep` and `peak` commands load no scipy module. A
-waveform solve loads scipy.signal for the ETD recurrence on first use.
-Every case runs in a fresh interpreter, since this test process has scipy
-loaded already.
+The package runs on numpy alone: importing it, run_point, the peak search,
+a waveform solve and the `sweep`, `peak`, `respond` and `modes` commands
+load no scipy module. Every case runs in a fresh interpreter, since this
+test process has scipy loaded already.
 """
 
 import json
@@ -19,25 +18,31 @@ import pulsegate
 
 SRC = str(Path(pulsegate.__file__).resolve().parent.parent)
 
-# each case: the statements run after `import pulsegate, pulsegate.cli`,
-# the scipy modules that must be loaded then, and those that must not be
+# the statements each case runs after `import pulsegate, pulsegate.cli`,
+# with `out` a fresh directory
 CASES = {
-    "import": ("", [], ["scipy"]),
+    "import": "",
     "run_point": ("for shape in ('rect', 'rising-exp', 'sym-exp', 'gauss'):\n"
-                  "    pulsegate.run_point(shape, 1.0)", [], ["scipy"]),
-    "cli-sweep": ("out = os.path.join(sys.argv[1], 'sweep.csv')\n"
-                  "code = pulsegate.cli.main(['sweep', '--shape', 'rect', '--num', '5',"
-                  " '--out', out])\n"
-                  "assert code == 0 and os.path.getsize(out)", [], ["scipy"]),
-    "find_peak": ("pulsegate.find_peak_c12('rect')", [], ["scipy"]),
+                  "    pulsegate.run_point(shape, 1.0)"),
+    "cli-sweep": ("code = pulsegate.cli.main(['sweep', '--shape', 'rect', '--num', '5',"
+                  " '--out', os.path.join(out, 'sweep.csv')])\n"
+                  "assert code == 0 and os.path.getsize(os.path.join(out, 'sweep.csv'))"),
+    "find_peak": "pulsegate.find_peak_c12('rect')",
     "cli-peak": ("code = pulsegate.cli.main(['peak', '--shape', 'rect'])\n"
-                 "assert code == 0", [], ["scipy"]),
-    "solve_point": ("pulsegate.solve_point('rect', 1.0)", ["scipy.signal"], []),
+                 "assert code == 0"),
+    "solve_point": "pulsegate.solve_point('rect', 1.0)",
+    "cli-respond": ("code = pulsegate.cli.main(['respond', '--shape', 'rect', '--gamma-t', '1',"
+                    " '--out', os.path.join(out, 'r')])\n"
+                    "assert code == 0 and os.path.getsize(os.path.join(out, 'r.signals.csv'))"),
+    "cli-modes": ("code = pulsegate.cli.main(['modes', '--shape', 'rect', '--gamma-t', '1',"
+                  " '--out', os.path.join(out, 'm.csv')])\n"
+                  "assert code == 0 and os.path.getsize(os.path.join(out, 'm.csv'))"),
 }
 
 REPORT = """
 import json, os, sys
 import pulsegate, pulsegate.cli
+out = sys.argv[1]
 {body}
 print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
@@ -45,14 +50,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_scipy_loads_only_where_it_is_called(case, tmp_path):
-    body, loaded, absent = CASES[case]
+    # the package calls scipy nowhere, so no case may load any scipy module
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", REPORT.format(body=body), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", REPORT.format(body=CASES[case]), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout.splitlines()[-1])
-    for name in loaded:
-        assert name in modules
-    for name in absent:
-        assert not [m for m in modules if m == name or m.startswith(name + ".")], modules
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

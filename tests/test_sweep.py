@@ -25,7 +25,7 @@ from pulsegate import (ComplexSignal, ConfigError, DurationRangeError, GridPolic
                        inner_product, norm_sq, perturbative_extraction,
                        run_point, sample_pulse, solve_point, solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
-from pulsegate.sweep import _PANEL_DEGREE, _bounded_brent
+from pulsegate.sweep import _PANEL_DEGREE, _bounded_brent, sweep_durations
 
 import _oracles as orc
 
@@ -125,6 +125,14 @@ class TestSweep:
             sweep("gauss", 0.0, 1.0, 5)
         with pytest.raises(DurationRangeError):
             sweep("gauss", 0.1, 10.0, 1)
+
+    @pytest.mark.parametrize("log_spaced", [True, False])
+    def test_an_infinite_bound_is_named(self, log_spaced):
+        # refused before np.logspace or np.linspace would turn it into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DurationRangeError, match=r"^gamma_t=inf outside"):
+                sweep_durations(0.01, math.inf, 5, log_spaced)
 
     def test_mini_sweep_invariants(self):
         rows = sweep("sym-exp", 0.05, 50.0, 13)
