@@ -10,11 +10,7 @@ and sweeps pulse duration for the four standard input shapes.
 from .bloch import (FullBlochState, ResponseChain, SystemParams, full_bloch,
                     linear_response, perturbative_extraction,
                     second_order_excitation, solve_chain, third_order_response)
-from .errors import (ConfigError, DurationRangeError, GridMismatchError,
-                     IllConditionedFitError, InvalidRangeError, NoPeakError,
-                     NormViolationError, PulseFileError, PulseGateError,
-                     SolverError, StepInstabilityError, UndefinedModeError,
-                     UnphysicalDecompositionError, UnsupportedSpanError)
+from .errors import ConfigError, NoPeakError, PulseGateError, SolverError
 from .output import OutputPair, assemble_outputs
 from .pulses import (DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec,
                      default_grid_for, load_pulse_file, sample_pulse)

@@ -22,9 +22,10 @@ integrating-factor (exponential) scheme that is exact for drives that are
 linear on each grid segment: constant-drive segments of the rectangular
 pulse are integrated exactly, smooth drives at second order, by a numpy
 scan (decay_block) whose decay factors exp(z j) are taken directly, not as
-powers of a rounded exp(-z), so a ringdown does not drift. The full
-nonlinear system, the brute-force oracle for the chain, is integrated with
-classical RK4 in v = <s->/i.
+powers of a rounded exp(-z), so a ringdown does not drift. Times are in
+units of 1/Gamma, so the chain runs at Gamma = 1. The full nonlinear
+system, the brute-force oracle for the chain, is integrated with classical
+RK4 in v = <s->/i, at the Gamma of its SystemParams.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, IllConditionedFitError, StepInstabilityError
+from .errors import SolverError
 from .signal import ComplexSignal, TimeGrid
 
 _Z_SERIES_CUTOFF = 1e-2
@@ -43,8 +44,9 @@ _Z_SERIES_CUTOFF = 1e-2
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Dipole relaxation rate Gamma; all times are scaled so Gamma=1 by
-    default and gamma_t = Gamma * T is the only physical knob."""
+    """Dipole relaxation rate Gamma of the RK4 oracle (full_bloch); all
+    times are scaled so Gamma=1 by default and gamma_t = Gamma * T is the
+    only physical knob."""
 
     gamma: float = 1.0
 
@@ -88,16 +90,16 @@ def _etd_weights(rate: float, h: float) -> tuple[float, float, float]:
     return float(E), float(w0), float(w1)
 
 
-def _driven_state(lam: float, dt: float, b, gamma: float) -> tuple:
+def _driven_state(lam: float, dt: float, b) -> tuple:
     """(u, w) at a node where the pulse is b, on a run b = C exp(lam t),
     lam > 0, since t = -inf: the particular solutions u = c x1 and w = d x3
-    of the ETD recurrences at rate gamma (weights E, w0, w1), whose drives
-    x1 = sqrt(2 gamma) b and x3 = -2 sqrt(2 gamma) b |u|^2 change by
-    rho = exp(lam dt) and rho^3 per node: c = (w0 + w1 rho) / (rho - E),
+    of the ETD recurrences at rate 1 (weights E, w0, w1), whose drives
+    x1 = sqrt(2) b and x3 = -2 sqrt(2) b |u|^2 change by rho = exp(lam dt)
+    and rho^3 per node: c = (w0 + w1 rho) / (rho - E),
     d = (w0 + w1 rho^3) / (rho^3 - E)."""
-    E, w0, w1 = _etd_weights(gamma, dt)
+    E, w0, w1 = _etd_weights(1.0, dt)
     rho = math.exp(lam * dt)
-    r = math.sqrt(2.0 * gamma)
+    r = math.sqrt(2.0)
     # rho - E and rho^3 - E without cancellation: 1 - E is exact
     u = (w0 + w1 * rho) / (math.expm1(lam * dt) + (1.0 - E)) * (r * b)
     x3 = -2.0 * r * b * (u * u.conjugate()).real
@@ -141,13 +143,11 @@ def decay_block(x: np.ndarray, rate: float, dt: float, s0=0.0) -> np.ndarray:
     return g
 
 
-def linear_response(b_in: ComplexSignal, params: SystemParams = SystemParams(),
-                    u_start: complex = 0.0) -> ComplexSignal:
-    """First-order dipole u = s1/i: causal response sqrt(2 Gamma)
-    integral exp(-Gamma (t-s)) b_in(s) ds, with u = u_start on the grid's
-    first node (0: the atom at rest there)."""
-    g = params.gamma
-    u = decay_block(np.sqrt(2 * g) * b_in.values, g, b_in.grid.dt, u_start)
+def linear_response(b_in: ComplexSignal, u_start: complex = 0.0) -> ComplexSignal:
+    """First-order dipole u = s1/i: causal response sqrt(2) integral
+    exp(-(t-s)) b_in(s) ds, with u = u_start on the grid's first node (0:
+    the atom at rest there)."""
+    u = decay_block(math.sqrt(2.0) * b_in.values, 1.0, b_in.grid.dt, u_start)
     return ComplexSignal(b_in.grid, u)
 
 
@@ -159,30 +159,27 @@ def second_order_excitation(u: ComplexSignal) -> ComplexSignal:
 
 
 def third_order_response(b_in: ComplexSignal, sigmaz2: ComplexSignal,
-                         params: SystemParams = SystemParams(),
                          w_start: complex = 0.0) -> ComplexSignal:
     """Third-order dipole w = s3/i: linear response to the saturation drive
     -2 b_in sz2 (the excited fraction blocks absorption, hence the sign),
     from w = w_start on the grid's first node."""
     if b_in.grid != sigmaz2.grid:
-        raise GridMismatchError("b_in and sigmaz2 must share a grid")
-    g = params.gamma
-    x = -2 * np.sqrt(2 * g) * b_in.values * sigmaz2.values.real
-    return ComplexSignal(b_in.grid, decay_block(x, g, b_in.grid.dt, w_start))
+        raise SolverError("b_in and sigmaz2 must share a grid")
+    x = -2 * math.sqrt(2.0) * b_in.values * sigmaz2.values.real
+    return ComplexSignal(b_in.grid, decay_block(x, 1.0, b_in.grid.dt, w_start))
 
 
-def solve_chain(b_in: ComplexSignal, params: SystemParams = SystemParams(),
-                lead_rate: float = 0.0) -> ResponseChain:
+def solve_chain(b_in: ComplexSignal, lead_rate: float = 0.0) -> ResponseChain:
     """Run the full perturbative chain u -> sz2 -> w. With lead_rate 0 it
     starts in the ground state on the grid's first node. A lead_rate lam
     > 0 says that the pulse has been C exp(lam t) from t = -inf up to that
     node: the chain then starts in the run's driven state (_driven_state),
     with no transient."""
-    start = (_driven_state(lead_rate, b_in.grid.dt, b_in.values[0].item(), params.gamma)
+    start = (_driven_state(lead_rate, b_in.grid.dt, b_in.values[0].item())
              if lead_rate else (0.0, 0.0))
-    u = linear_response(b_in, params, start[0])
+    u = linear_response(b_in, start[0])
     sz2 = second_order_excitation(u)
-    w = third_order_response(b_in, sz2, params, start[1])
+    w = third_order_response(b_in, sz2, start[1])
     return ResponseChain(u, sz2, w)
 
 
@@ -191,8 +188,8 @@ def _rk4_factor(h: float) -> float:
     return 1 + h + h * h / 2 + h**3 / 6 + h**4 / 24
 
 
-def _left_sphere(grid: TimeGrid, node: int, z: float, alpha: complex) -> StepInstabilityError:
-    return StepInstabilityError(
+def _left_sphere(grid: TimeGrid, node: int, z: float, alpha: complex) -> SolverError:
+    return SolverError(
         f"<sz>={z:.6f} left the Bloch sphere at t="
         f"{grid.t_start + node * grid.dt:.4f}; refine the grid "
         f"or reduce |alpha|={abs(alpha):g}")
@@ -218,9 +215,9 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     """Integrate the full nonlinear Bloch equations with classical RK4.
 
     Returns v = <s->/i as a ComplexSignal and <sz>(t) as a float64 array,
-    both sampled on b_in.grid. Raises StepInstabilityError if |<sz>|
-    leaves [-1/2, 1/2] by more than 1e-6, the signature of a grid too
-    coarse for the drive.
+    both sampled on b_in.grid. Raises SolverError if |<sz>| leaves
+    [-1/2, 1/2] by more than 1e-6, the signature of a grid too coarse for
+    the drive.
 
     The loop steps v = <s->/i, in Python floats when b_in and alpha are
     both real (so then is v) and in complexes otherwise. Multiplying by i
@@ -314,10 +311,10 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
     alphas = [float(a) for a in alphas]
     n_cols = 3 if deflate_fifth_order else 2
     if len(set(alphas)) < n_cols:
-        raise IllConditionedFitError(
+        raise SolverError(
             f"need >= {n_cols} distinct drive amplitudes, got {alphas}")
     if any(a <= 0 or a > 0.1 for a in alphas):
-        raise IllConditionedFitError(
+        raise SolverError(
             f"amplitudes must lie in (0, 0.1] for a clean cubic fit, got {alphas}")
     rt2g = np.sqrt(2 * params.gamma)
     outs = [a * b_in.values - rt2g * full_bloch(b_in, a, params).v.values for a in alphas]

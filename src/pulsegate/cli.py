@@ -39,7 +39,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -47,8 +46,8 @@ import numpy as np
 
 from .errors import ConfigError, NoPeakError, PulseGateError
 from .pulses import DEFAULT_POLICY, GridPolicy, PulseShape, PulseSpec
-from .sweep import (DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_RANGE, PointSolution,
-                    find_peak_c12, solve_spec, solve_point, sweep)
+from .sweep import (DEFAULT_PEAK_BRACKET, DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_RANGE,
+                    PointSolution, find_peak_c12, solve_spec, solve_point, sweep)
 
 SWEEP_HEADER = "gamma_t,c11_re,c11_im,c11_sq,c12_sq,cr_sq,overlap_re,overlap_im"
 
@@ -79,17 +78,6 @@ def _exchange(tmp: str, path: Path) -> bool:
                       _RENAME_EXCHANGE) == 0
 
 
-def _file_mode(path: Path) -> int:
-    """The permission bits of `path` if it exists, else 0o666 less the
-    process umask."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)     # the umask can only be read by setting it
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def _write_atomic(*files: tuple[Path, Iterable[bytes]]) -> None:
     """Write each (path, chunks) pair to a temp file beside `path` and, once
     all are complete, put each in place. If anything raises before then, a
@@ -102,19 +90,22 @@ def _write_atomic(*files: tuple[Path, Iterable[bytes]]) -> None:
     disk: 0.1-1 s per waveform file. Where the swap is unavailable, or
     `path` is new, `os.replace` renames.
 
-    The temp file, which mkstemp makes 0600, takes the permission bits of
-    an existing `path`, or those a plain open gives a new file under the
-    umask. An OSError, the path's or the disk's, is raised as ConfigError."""
+    The temp file, `path` with a random hex part and ".tmp" added, is
+    created as a plain open creates a file, 0666 less the umask, which the
+    kernel applies; only an existing `path` has its permission bits copied
+    to it. An OSError, the path's or the disk's, is raised as ConfigError."""
     tmps = []
     try:
         for path, chunks in files:
             if path.is_dir():
                 raise ConfigError(f"cannot write {path}: Is a directory")
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
-                os.fchmod(fd, _file_mode(path))
+                if path.is_file():
+                    os.fchmod(fd, stat.S_IMODE(path.stat().st_mode))
                 fh.writelines(chunks)
         for (path, _), tmp in zip(files, tmps):
             if not _exchange(tmp, path):
@@ -461,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                        description="The c12_sq maximum of the continuum amplitudes; no "
                                    "grid is built, so no grid flags apply.")
     p.add_argument("--shape", required=True, choices=BUILTIN_SHAPES)
-    p.add_argument("--from", dest="gt_min", type=float, default=0.1,
-                   help="bracket lower edge (default 0.1)")
-    p.add_argument("--to", dest="gt_max", type=float, default=20.0,
-                   help="bracket upper edge (default 20)")
+    p.add_argument("--from", dest="gt_min", type=float, default=DEFAULT_PEAK_BRACKET[0],
+                   help=f"bracket lower edge (default {DEFAULT_PEAK_BRACKET[0]:g})")
+    p.add_argument("--to", dest="gt_max", type=float, default=DEFAULT_PEAK_BRACKET[1],
+                   help=f"bracket upper edge (default {DEFAULT_PEAK_BRACKET[1]:g})")
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_peak)
 

@@ -4,7 +4,8 @@ Two broad families matter for the command line front end: configuration
 problems (bad flags, bad pulse files, parameters outside the supported
 range) and solver problems (diagnostics that fire when a computed result
 violates a conservation law or a tolerance). They map to distinct exit
-codes, so they get distinct base classes.
+codes, so they get distinct classes, and so does a peak search that
+finds no interior peak. Each message names the check that failed.
 """
 
 
@@ -13,56 +14,15 @@ class PulseGateError(Exception):
 
 
 class ConfigError(PulseGateError):
-    """Invalid user input: flags, ranges, file contents."""
-
-
-class InvalidRangeError(ConfigError):
-    """Degenerate or reversed time grid specification."""
-
-
-class DurationRangeError(ConfigError):
-    """Requested gamma_t outside the supported span [1e-3, 1e4]."""
-
-
-class PulseFileError(ConfigError):
-    """Custom pulse file missing, malformed, or unusable."""
+    """Invalid user input: flags, ranges, grid bounds, pulse files (exit 2)."""
 
 
 class SolverError(PulseGateError):
-    """A computation produced a result that fails its own sanity checks."""
-
-
-class GridMismatchError(SolverError):
-    """Two signals that must share a grid do not."""
-
-
-class UnsupportedSpanError(SolverError):
-    """Grid does not cover the support window required by a pulse."""
-
-
-class NormViolationError(SolverError):
-    """Linear output norm deviates from 1 beyond tolerance; the grid span
-    or step is inadequate."""
-
-
-class StepInstabilityError(SolverError):
-    """Bloch integration left the physical Bloch sphere; grid too coarse
-    for the drive strength."""
-
-
-class UnphysicalDecompositionError(SolverError):
-    """Two-photon amplitudes violate probability conservation."""
-
-
-class UndefinedModeError(SolverError):
-    """Orthogonal output mode requested where the nonlinear output has no
-    component orthogonal to the linear one."""
-
-
-class IllConditionedFitError(SolverError):
-    """Least-squares amplitude fit is underdetermined (too few or
-    duplicate drive amplitudes)."""
+    """A computation produced a result that fails its own sanity checks:
+    mismatched grids, a grid short of the pulse, a linear output norm off 1,
+    a Bloch state off the sphere, unphysical amplitudes, an undefined psi2,
+    an ill-posed amplitude fit (exit 3)."""
 
 
 class NoPeakError(SolverError):
-    """Peak search bracket does not contain an interior maximum."""
+    """Peak search bracket does not contain an interior maximum (exit 4)."""

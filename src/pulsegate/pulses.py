@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, PulseFileError, UnsupportedSpanError
+from .errors import ConfigError, SolverError
 from .signal import ComplexSignal, TimeGrid, make_grid, norm_sq
 
 # Leading cutoff for the rising exponential: |b(t)|^2 integrated below the
@@ -65,30 +65,28 @@ class Geometry:
     on         where the formula holds; the pulse is 0 outside, and a finite
                end is a jump, sampled as the mean of its two limits
     support    the window a grid must cover (check_span)
-    drive_end  past it the pulse stays below 2^-53 of its peak
     lead_rate  T lam of the exponential C exp(lam t) that the pulse has
                followed since t = -inf up to piece[0], or 0 for a pulse at
                rest there; a lead that ends inside `on` ends on a kink
-    piece      the smooth piece that the continuum panels tile
+    piece      the smooth piece that the continuum panels tile; past its
+               end the pulse stays below 2^-53 of its peak
     """
 
     on: tuple[float, float]
     support: tuple[float, float]
-    drive_end: float
     lead_rate: float
     piece: tuple[float, float]
 
 
 GEOMETRY = {
-    PulseShape.RECTANGULAR: Geometry((-1.0, 0.0), (-1.0, 0.0), 0.0, 0.0, (-1.0, 0.0)),
+    PulseShape.RECTANGULAR: Geometry((-1.0, 0.0), (-1.0, 0.0), 0.0, (-1.0, 0.0)),
     # the lead is the whole pulse; its piece is the cutoff, one instant
-    PulseShape.RISING_EXP: Geometry((-math.inf, 0.0), (-RISING_LEAD_FACTOR, 0.0), 0.0, 1.0,
-                                    (0.0, 0.0)),
+    PulseShape.RISING_EXP: Geometry((-math.inf, 0.0), (-RISING_LEAD_FACTOR, 0.0), 1.0, (0.0, 0.0)),
     # +-6T: truncated tail weight 0.5*exp(-24) ~ 1.9e-11; the lead ends on the kink
-    PulseShape.SYM_EXP: Geometry((-math.inf, math.inf), (-6.0, 6.0), SYM_EXP_DRIVE_END, 2.0,
+    PulseShape.SYM_EXP: Geometry((-math.inf, math.inf), (-6.0, 6.0), 2.0,
                                  (0.0, SYM_EXP_DRIVE_END)),
     # +-3T: truncated tail weight 0.5*erfc(6) ~ 1.1e-17
-    PulseShape.GAUSSIAN: Geometry((-math.inf, math.inf), (-3.0, 3.0), GAUSS_DRIVE_END, 0.0,
+    PulseShape.GAUSSIAN: Geometry((-math.inf, math.inf), (-3.0, 3.0), 0.0,
                                   (-GAUSS_DRIVE_END, GAUSS_DRIVE_END)),
 }
 
@@ -142,18 +140,18 @@ class PulseSpec:
             if t is not None or v is not None:
                 raise ConfigError("custom samples go with shape='custom' only")
         elif t is None or v is None or np.ndim(t) != 1 or len(t) < 2 or np.shape(v) != np.shape(t):
-            raise PulseFileError("custom pulse needs matching 1-d t and value arrays "
-                                 "of at least 2 samples")
+            raise ConfigError("custom pulse needs matching 1-d t and value arrays "
+                              "of at least 2 samples")
         elif not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise PulseFileError("custom pulse contains non-finite samples")
+            raise ConfigError("custom pulse contains non-finite samples")
         elif not (np.diff(t) > 0).all():
-            raise PulseFileError("custom pulse times must be strictly ascending")
+            raise ConfigError("custom pulse times must be strictly ascending")
         elif not np.any(v):
-            raise PulseFileError("custom pulse is identically zero")
+            raise ConfigError("custom pulse is identically zero")
         elif self.duration != t[-1] - t[0]:
             # the grid is sized from the duration: it must be the sampled span
-            raise PulseFileError(f"custom pulse duration {self.duration!r} is not "
-                                 f"its samples' span {t[-1] - t[0]!r}")
+            raise ConfigError(f"custom pulse duration {self.duration!r} is not "
+                              f"its samples' span {t[-1] - t[0]!r}")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ConfigError(f"pulse duration must be positive, got {self.duration}")
 
@@ -196,7 +194,7 @@ class PulseSpec:
         custom pulse, its last sample)."""
         if self.shape is PulseShape.CUSTOM:
             return float(self.custom_t[-1])
-        return self.duration * GEOMETRY[self.shape].drive_end
+        return self.duration * GEOMETRY[self.shape].piece[1]
 
 
 def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +205,7 @@ def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise PulseFileError(f"cannot read pulse file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read pulse file {path}: {exc}") from exc
     ts, vals = [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -215,19 +213,19 @@ def load_pulse_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             continue
         parts = line.replace(",", " ").split()
         if len(parts) not in (2, 3):
-            raise PulseFileError(f"{path}:{ln}: expected 2 or 3 columns, got {len(parts)}")
+            raise ConfigError(f"{path}:{ln}: expected 2 or 3 columns, got {len(parts)}")
         try:
             nums = [float(p) for p in parts]
         except ValueError as exc:
-            raise PulseFileError(f"{path}:{ln}: {exc}") from exc
+            raise ConfigError(f"{path}:{ln}: {exc}") from exc
         ts.append(nums[0])
         vals.append(nums[1] if len(parts) == 2 else complex(nums[1], nums[2]))
     if len(ts) < 2:
-        raise PulseFileError(f"{path}: need at least 2 samples")
+        raise ConfigError(f"{path}: need at least 2 samples")
     t = np.array(ts, dtype=float)
     v = np.array(vals)
     if not (np.diff(t) > 0).all():
-        raise PulseFileError(f"{path}: times must be strictly ascending")
+        raise ConfigError(f"{path}: times must be strictly ascending")
     return t, v
 
 
@@ -253,7 +251,7 @@ def default_grid_for(spec: PulseSpec, policy: GridPolicy = DEFAULT_POLICY) -> Ti
         # them; from about 2**-20 dt on, that moves c12^2 by 1e-12 (README)
         edge = max(abs(grid.t_start), abs(grid.t_end))
         if math.ulp(edge) > 2.0**-20 * grid.dt:
-            raise PulseFileError(
+            raise ConfigError(
                 f"custom pulse times reach |t| = {edge:g}, where doubles are "
                 f"{math.ulp(edge):.3g} apart, over 2**-20 of the grid step "
                 f"{grid.dt:.3g}; shift the times toward t = 0")
@@ -315,11 +313,11 @@ def _builtin_values(shape: PulseShape, T: float, t: np.ndarray, dt: float) -> np
 
 
 def check_span(spec: PulseSpec, grid: TimeGrid) -> None:
-    """Raise UnsupportedSpanError unless the grid covers the pulse support."""
+    """Raise SolverError unless the grid covers the pulse support."""
     lo, hi = spec.support()
     tol = 1e-9 * grid.dt
     if grid.t_start > lo + tol or grid.t_end < hi - tol:
-        raise UnsupportedSpanError(
+        raise SolverError(
             f"grid [{grid.t_start:g}, {grid.t_end:g}] does not cover the "
             f"pulse support [{lo:g}, {hi:g}]")
 
@@ -338,6 +336,6 @@ def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexSignal:
         sig = ComplexSignal(grid, vals)
         nrm = norm_sq(sig)
         if nrm <= 0:
-            raise PulseFileError("custom pulse has zero norm on this grid")
+            raise ConfigError("custom pulse has zero norm on this grid")
         return ComplexSignal(grid, vals / math.sqrt(nrm))
     return ComplexSignal(grid, _builtin_values(spec.shape, spec.duration, t, grid.dt))

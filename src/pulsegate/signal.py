@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidRangeError
+from .errors import ConfigError, SolverError
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,13 @@ class TimeGrid:
 
 
 def make_grid(t_start: float, t_end: float, n: int) -> TimeGrid:
-    """Build a uniform grid; raises InvalidRangeError on a degenerate span."""
+    """Build a uniform grid; raises ConfigError on a degenerate span."""
     if not np.isfinite(t_start) or not np.isfinite(t_end):
-        raise InvalidRangeError(f"non-finite grid bounds ({t_start}, {t_end})")
+        raise ConfigError(f"non-finite grid bounds ({t_start}, {t_end})")
     if t_end <= t_start:
-        raise InvalidRangeError(f"t_end={t_end} must exceed t_start={t_start}")
+        raise ConfigError(f"t_end={t_end} must exceed t_start={t_start}")
     if n < 2:
-        raise InvalidRangeError(f"need at least 2 samples, got n={n}")
+        raise ConfigError(f"need at least 2 samples, got n={n}")
     return TimeGrid(float(t_start), float(t_end), int(n))
 
 
@@ -87,7 +87,7 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 def _check_same_grid(f: ComplexSignal, g: ComplexSignal) -> None:
     if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
+        raise SolverError(f"grids differ: {f.grid} vs {g.grid}")
 
 
 def inner_product(f: ComplexSignal, g: ComplexSignal) -> complex:

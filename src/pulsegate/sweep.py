@@ -34,8 +34,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 from .bloch import solve_chain
-from .errors import (ConfigError, DurationRangeError, NoPeakError, SolverError,
-                     UndefinedModeError)
+from .errors import ConfigError, NoPeakError, SolverError
 from .output import OutputPair, assemble_outputs, check_linear_norm
 from .pulses import (DEFAULT_POLICY, GEOMETRY, GridPolicy, PulseShape, PulseSpec,
                      _piece_values, default_grid_for, sample_pulse)
@@ -57,6 +56,7 @@ _PANEL_DEGREE = 20
 
 DEFAULT_SWEEP_RANGE = (0.01, 1000.0)
 DEFAULT_SWEEP_POINTS = 121
+DEFAULT_PEAK_BRACKET = (0.1, 20.0)
 
 _PEAK_PROBES = 13       # find_peak_c12's log-spaced probes across the bracket
 _PEAK_REL_TOL = 1e-3    # and its Brent refinement's xatol in log(gamma_t), log1p of this
@@ -101,10 +101,10 @@ class PointSolution:
     limit: LimitReport
 
     def modes(self) -> tuple[ComplexSignal, ComplexSignal]:
-        """(psi1, psi2), or UndefinedModeError where psi2 has no direction."""
+        """(psi1, psi2), or SolverError where psi2 has no direction."""
         dec = self.decomposition
         if dec.psi2 is None:
-            raise UndefinedModeError(
+            raise SolverError(
                 f"photon transfer is negligible at gamma_t={self.gamma_t:g}; "
                 "the orthogonal mode has no defined shape")
         return dec.psi1, dec.psi2
@@ -115,14 +115,24 @@ def _as_shape(shape: ShapeLike) -> PulseShape:
         if shape == builtin:
             return builtin
     names = ", ".join(s.value for s in GEOMETRY)
-    raise DurationRangeError(f"unknown pulse shape {shape!r}; expected one of {names}")
+    raise ConfigError(f"unknown pulse shape {shape!r}; expected one of {names}")
 
 
 def _check_gamma_t(gamma_t: float) -> None:
     if not (GAMMA_T_MIN <= gamma_t <= GAMMA_T_MAX):
-        raise DurationRangeError(
+        raise ConfigError(
             f"gamma_t={gamma_t:g} outside the supported range "
             f"[{GAMMA_T_MIN:g}, {GAMMA_T_MAX:g}]")
+
+
+def _check_range(lo: float, hi: float, unordered: str) -> None:
+    """Refuse a duration range before anything is solved: ConfigError with
+    the message `unordered` unless 0 < lo < hi, then _check_gamma_t's on
+    either edge outside the supported range."""
+    if not (0 < lo < hi):
+        raise ConfigError(unordered)
+    _check_gamma_t(lo)
+    _check_gamma_t(hi)
 
 
 def _builtin_spec(shape: PulseShape, gamma_t: float) -> PulseSpec:
@@ -308,12 +318,9 @@ def sweep_durations(gt_min: float, gt_max: float, n_points: int,
                     log_spaced: bool = True) -> np.ndarray:
     """The duration grid a sweep will evaluate, validated before any point
     is solved: a bound out of range raises run_point's error."""
-    if not (0 < gt_min < gt_max):
-        raise DurationRangeError(f"need 0 < gt_min < gt_max, got ({gt_min}, {gt_max})")
+    _check_range(gt_min, gt_max, f"need 0 < gt_min < gt_max, got ({gt_min}, {gt_max})")
     if n_points < 2:
-        raise DurationRangeError(f"need at least 2 sweep points, got {n_points}")
-    _check_gamma_t(gt_min)
-    _check_gamma_t(gt_max)
+        raise ConfigError(f"need at least 2 sweep points, got {n_points}")
     return (np.logspace(math.log10(gt_min), math.log10(gt_max), n_points) if log_spaced
             else np.linspace(gt_min, gt_max, n_points))
 
@@ -385,8 +392,10 @@ def _bounded_brent(func, a: float, b: float, xatol: float, maxfun: int = 500):
     return xf, fx, num, failure
 
 
-def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) -> PeakResult:
-    """Locate the c12_sq maximum inside the bracket.
+def find_peak_c12(shape: ShapeLike,
+                  bracket: tuple[float, float] = DEFAULT_PEAK_BRACKET) -> PeakResult:
+    """Locate the c12_sq maximum inside the bracket, whose edges are
+    checked as a sweep's bounds are, before any duration is solved.
 
     A coarse log-spaced probe seeds a bounded Brent search (_bounded_brent,
     numpy-free) on log(gamma_t) between the best probe's neighbours, each
@@ -395,8 +404,7 @@ def find_peak_c12(shape: ShapeLike, bracket: tuple[float, float] = (0.1, 20.0)) 
     """
     shape = _as_shape(shape)
     lo, hi = bracket
-    if not (0 < lo < hi):
-        raise DurationRangeError(f"bad peak bracket ({lo}, {hi})")
+    _check_range(lo, hi, f"bad peak bracket ({lo}, {hi})")
 
     @functools.cache    # this search's rows by gamma_t: each is solved once
     def row(gt: float) -> SweepRow:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UnphysicalDecompositionError
+from .errors import SolverError
 from .output import OutputPair
 from .signal import ComplexSignal, inner_product, norm_sq
 
@@ -83,19 +83,19 @@ def amplitudes(n1: float, b1_b3: complex,
     c12_sq = 2 (||b3||^2 - |c11 - 1|^2) and cr_sq = 1 - |c11|^2 - c12_sq.
     Tiny negative c12_sq or cr_sq (rounding) clamp to zero. A c12_sq below
     -CLAMP_NEGATIVE, or a cr_sq below -UNPHYSICAL_TOL (c11_sq + c12_sq over
-    1), marks inconsistent inputs and raises UnphysicalDecompositionError.
+    1), marks inconsistent inputs and raises SolverError.
     """
     v = complex(b1_b3 / math.sqrt(n1))
     c11 = 1 + v
     c12_sq = 2 * (float(b3_sq) - abs(c11 - 1) ** 2)
     if c12_sq < 0:
         if c12_sq < -CLAMP_NEGATIVE:
-            raise UnphysicalDecompositionError(
+            raise SolverError(
                 f"c12_sq={c12_sq:.3e} is negative beyond rounding")
         c12_sq = 0.0
     cr_sq = 1 - abs(c11) ** 2 - c12_sq
     if cr_sq < -UNPHYSICAL_TOL:
-        raise UnphysicalDecompositionError(
+        raise SolverError(
             f"c11_sq + c12_sq = {abs(c11)**2 + c12_sq:.6f} exceeds 1")
     return v, c11, c12_sq, max(cr_sq, 0.0)
 

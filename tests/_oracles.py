@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from pulsegate.bloch import FullBlochState, SystemParams, decay_block
-from pulsegate.errors import SolverError, StepInstabilityError
+from pulsegate.errors import SolverError
 from pulsegate.pulses import (GridPolicy, PulseShape, _builtin_values, check_span,
                               default_grid_for)
 from pulsegate.signal import ComplexSignal, _dot, require_finite
@@ -159,7 +159,7 @@ def rk4_full_bloch(b_in, alpha, params=SystemParams()):
         s = s + sixth * (k1s + 2 * k2s + 2 * k3s + k4s)
         z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
         if abs(z) > 0.5 + 1e-6:
-            raise StepInstabilityError(
+            raise SolverError(
                 f"<sz>={z:.6f} left the Bloch sphere at t="
                 f"{b_in.grid.t_start + (k + 1) * dt:.4f}; refine the grid "
                 f"or reduce |alpha|={abs(alpha):g}")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,11 @@ def ulps_from(x, d):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def no_umask(mask):
+    """os.umask for a test in which nothing may change the process umask."""
+    raise AssertionError("a file write changed the process umask")
 
 
 def assert_same_text(got, want):
@@ -193,12 +199,12 @@ class TestSweepCmd:
 
         def fail_second(shape, gt):
             if gt == second:
-                raise errors.NormViolationError("boom")
+                raise errors.SolverError("boom")
             return run_point(shape, gt)
 
         monkeypatch.setattr(sweep_module, "run_point", fail_second)
         message = f"at gamma_t={second:g}: boom"
-        with pytest.raises(errors.NormViolationError) as exc:
+        with pytest.raises(errors.SolverError) as exc:
             sweep_module.sweep("gauss", 0.5, 2.0, 3)
         assert str(exc.value) == message
         out = tmp_path / "s.csv"
@@ -249,6 +255,25 @@ class TestPeakCmd:
     def test_tail_bracket_exits_4(self):
         assert run("peak", "--shape", "gauss", "--from", "500", "--to", "1000") == 4
 
+    @pytest.mark.parametrize("flag, value, edge", [("--to", "inf", "inf"),
+                                                   ("--to", "1e5", "100000"),
+                                                   ("--from", "1e-4", "0.0001")])
+    def test_out_of_range_bracket_solves_nothing(self, flag, value, edge, tmp_path,
+                                                 monkeypatch, capsys):
+        # refused on the bracket's edge, as a sweep's bound is, before any
+        # probe is solved and with no numpy warning
+        def never(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(importlib.import_module("pulsegate.sweep"), "run_point", never)
+        out = tmp_path / "p.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("peak", "--shape", "rect", flag, value, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: gamma_t={edge} outside the supported "
+                                           "range [0.001, 10000]\n")
+        assert not out.exists()
+
 
 class TestModesCmd:
     def test_columns_and_values(self, tmp_path):
@@ -265,7 +290,7 @@ class TestModesCmd:
         assert trapezoid(p2[t < 0] ** 2, t[t < 0]) > 0.9 * trapezoid(p2**2, t)
 
     def test_undefined_mode_exits_3(self, tmp_path, monkeypatch, capsys):
-        # the command and PointSolution.modes raise the same UndefinedModeError
+        # the command and PointSolution.modes raise the same SolverError
         sweep_module = importlib.import_module("pulsegate.sweep")
         decompose = sweep_module.decompose
         monkeypatch.setattr(sweep_module, "decompose",
@@ -276,7 +301,7 @@ class TestModesCmd:
         assert run("modes", "--shape", "gauss", "--gamma-t", "1", "--out", out, *FAST) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-        with pytest.raises(errors.UndefinedModeError) as exc:
+        with pytest.raises(errors.SolverError) as exc:
             sweep_module.solve_point("gauss", 1.0, GridPolicy(samples_per_unit=400)).modes()
         assert str(exc.value) == message
 
@@ -518,13 +543,26 @@ class TestCsvWriter:
         kept.chmod(0o640)
         umask = os.umask(0o022)
         try:
-            cli._write_atomic((tmp_path / "new.csv", [b"t,x\n"]))
-            cli._write_atomic((kept, [b"t,x\n"]))
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", no_umask)
+                cli._write_atomic((tmp_path / "new.csv", [b"t,x\n"]))
+                cli._write_atomic((kept, [b"t,x\n"]))
         finally:
             os.umask(umask)
         assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o644
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert kept.read_bytes() == b"t,x\n"
+
+    def test_commands_write_without_touching_the_umask(self, tmp_path, monkeypatch):
+        # the kernel applies the umask when the temp file is created; reading
+        # it by setting it would, for a moment, give 0666 files to any thread
+        monkeypatch.setattr(os, "umask", no_umask)
+        for _ in range(2):      # new files, then the same files replaced
+            assert run("sweep", "--shape", "rect", "--num", "3", "--out", tmp_path / "s.csv") == 0
+            assert run("respond", "--shape", "rect", "--gamma-t", "1", *FAST,
+                       "--out", tmp_path / "r") == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["r.signals.csv",
+                                                              "r.summary.json", "s.csv"]
 
     def test_a_directory_in_the_way_is_not_swapped(self, tmp_path):
         target = tmp_path / "w.csv"
@@ -535,8 +573,13 @@ class TestCsvWriter:
 
 
 class TestExitCodes:
+    def test_one_error_class_per_exit_code(self):
+        classes = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)}
+        assert classes == {"PulseGateError", "ConfigError", "SolverError", "NoPeakError"}
+
     @pytest.mark.parametrize("error, code", [(errors.ConfigError, 2),
-                                             (errors.NormViolationError, 3),
+                                             (errors.SolverError, 3),
                                              (errors.PulseGateError, 3),
                                              (errors.NoPeakError, 4)])
     def test_error_family_sets_the_code(self, error, code, monkeypatch, capsys):
@@ -593,7 +636,7 @@ class TestExitCodes:
         # refused with the error run_point gives the bound outside
         # [1e-3, 1e4], before run_point is called at all
         sweep_module = importlib.import_module("pulsegate.sweep")
-        with pytest.raises(errors.DurationRangeError) as exc:
+        with pytest.raises(errors.ConfigError) as exc:
             sweep_module.run_point("rect", lo if flag == "--from" else hi)
 
         def never(*args):

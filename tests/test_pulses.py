@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulsegate import (ConfigError, GridPolicy, PulseFileError, PulseShape, PulseSpec,
-                       UnsupportedSpanError, default_grid_for, load_pulse_file,
-                       make_grid, norm_sq, sample_pulse)
+from pulsegate import (ConfigError, GridPolicy, PulseShape, PulseSpec, SolverError,
+                       default_grid_for, load_pulse_file, make_grid, norm_sq,
+                       sample_pulse)
 from pulsegate import pulses
 from pulsegate.pulses import GEOMETRY, RISING_LEAD_FACTOR, _builtin_values, _piece_values
 
@@ -125,7 +125,7 @@ class TestGrids:
             g = default_grid_for(spec)
             assert math.ulp(max(abs(g.t_start), abs(g.t_end))) / g.dt < 2.0**-20
         else:
-            with pytest.raises(PulseFileError, match="toward t = 0"):
+            with pytest.raises(ConfigError, match="toward t = 0"):
                 default_grid_for(spec)
 
     def test_kink_falls_on_node(self):
@@ -141,9 +141,9 @@ class TestGrids:
         assert b.values[np.argmin(np.abs(t + 1))].real == pytest.approx(0.5)
 
     def test_unsupported_span_rejected(self):
-        with pytest.raises(UnsupportedSpanError):
+        with pytest.raises(SolverError, match=r"does not cover the pulse support \[-1, 0\]$"):
             sample_pulse(PulseSpec.rectangular(1.0), make_grid(-0.5, 5, 100))
-        with pytest.raises(UnsupportedSpanError):
+        with pytest.raises(SolverError, match=r"does not cover the pulse support \[-3, 3\]$"):
             sample_pulse(PulseSpec.gaussian(1.0), make_grid(-1, 2, 100))
 
     @pytest.mark.parametrize("kwargs", [{"samples_per_unit": 1}, {"tail": 0.0},
@@ -302,14 +302,16 @@ class TestGeometry:
     @pytest.mark.parametrize("shape", list(GEOMETRY))
     @pytest.mark.parametrize("T", [0.01, 1.0, 300.0])
     def test_drive_end_bounds_the_pulse(self, shape, T):
-        geo = GEOMETRY[shape]
+        # the drive ends where the piece does
+        end = GEOMETRY[shape].piece[1]
+        assert PulseSpec(shape, T).drive_end() == T * end
         peak = _piece_values(shape, T, 0.0)
         # every sample past the drive end, one step of T / 100 on
-        past = T * (geo.drive_end + np.linspace(0.01, 5.0, 500))
+        past = T * (end + np.linspace(0.01, 5.0, 500))
         assert _builtin_values(shape, T, past, 0.01 * T).max() <= 2.0**-53 * peak
-        if geo.on[0] < geo.drive_end < geo.on[1]:
+        if end < GEOMETRY[shape].on[1]:
             # the formula at the drive end itself, within its rounding
-            at_end = _piece_values(shape, T, T * geo.drive_end)
+            at_end = _piece_values(shape, T, T * end)
             assert at_end <= 2.0**-53 * peak * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("shape", list(GEOMETRY))
@@ -332,7 +334,6 @@ class TestGeometry:
     def test_piece_lies_where_the_formula_holds(self, shape):
         geo = GEOMETRY[shape]
         assert geo.on[0] <= geo.piece[0] <= geo.piece[1] <= geo.on[1]
-        assert geo.piece[1] == min(geo.drive_end, geo.on[1])
 
 
 class TestCustomPulses:
@@ -370,46 +371,50 @@ class TestCustomPulses:
 
     def test_descending_times_rejected(self, tmp_path):
         path = self.write(tmp_path, "0 1\n-1 1\n")
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match="times must be strictly ascending$"):
             load_pulse_file(path)
 
     def test_malformed_rejected(self, tmp_path):
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match=":1: expected 2 or 3 columns, got 4$"):
             load_pulse_file(self.write(tmp_path, "0 1 2 3\n1 1 1 1\n"))
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match=":1: could not convert string to float"):
             load_pulse_file(self.write(tmp_path, "0 one\n1 2\n"))
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match=": need at least 2 samples$"):
             load_pulse_file(self.write(tmp_path, "0 1\n"))
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match="^cannot read pulse file "):
             load_pulse_file(tmp_path / "nope.txt")
 
     def test_all_zero_rejected(self, tmp_path):
         path = self.write(tmp_path, "0 0\n1 0\n")
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match="^custom pulse is identically zero$"):
             PulseSpec.from_file(path)
 
     T5 = np.linspace(-1.0, 1.0, 5)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"custom_t": T5}, {"custom_values": np.ones(5)},
-        {"custom_t": T5, "custom_values": np.ones(4)},
-        {"custom_t": T5[None, :], "custom_values": np.ones((1, 5))},
-        {"custom_t": T5[::-1], "custom_values": np.ones(5)},
-        {"custom_t": T5, "custom_values": np.full(5, np.nan)}],
+    ARRAYS = "^custom pulse needs matching 1-d t and value arrays of at least 2 samples$"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"custom_t": T5}, ARRAYS), ({"custom_values": np.ones(5)}, ARRAYS),
+        ({"custom_t": T5, "custom_values": np.ones(4)}, ARRAYS),
+        ({"custom_t": T5[None, :], "custom_values": np.ones((1, 5))}, ARRAYS),
+        ({"custom_t": T5[::-1], "custom_values": np.ones(5)},
+         "^custom pulse times must be strictly ascending$"),
+        ({"custom_t": T5, "custom_values": np.full(5, np.nan)},
+         "^custom pulse contains non-finite samples$")],
         ids=["t-only", "values-only", "mismatched", "2-d", "descending", "nan"])
-    def test_direct_custom_spec_validated(self, kwargs):
+    def test_direct_custom_spec_validated(self, kwargs, message):
         # built directly, not through PulseSpec.custom: refused when built,
         # not later by numpy inside the solver
-        with pytest.raises(PulseFileError):
+        with pytest.raises(ConfigError, match=message):
             PulseSpec(PulseShape.CUSTOM, 2.0, **kwargs)
 
     @pytest.mark.parametrize("duration", [1e-3, 2.5, -2.0])
     def test_direct_custom_duration_is_the_span(self, duration, tmp_path):
         # the grid is sized from the duration: 1e-3 would give a 61-sample
         # file 26.5M nodes instead of 8,835
-        with pytest.raises(PulseFileError, match="span"):
+        with pytest.raises(ConfigError, match="span"):
             PulseSpec(PulseShape.CUSTOM, duration, self.T5, np.ones(5))
         assert PulseSpec(PulseShape.CUSTOM, 2.0, self.T5, np.ones(5)).duration == 2.0
         t = np.linspace(-3.0, 3.0, 61)

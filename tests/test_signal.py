@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import (ComplexSignal, GridMismatchError, InvalidRangeError,
-                       PulseSpec, default_grid_for, inner_product, make_grid,
-                       norm_sq, sample_pulse)
+from pulsegate import (ComplexSignal, ConfigError, PulseSpec, SolverError,
+                       default_grid_for, inner_product, make_grid, norm_sq,
+                       sample_pulse)
 from _oracles import geometric_sum
 
 
@@ -23,13 +23,13 @@ class TestMakeGrid:
         assert make_grid(-1, 0, 101).dt == pytest.approx(0.01)
 
     def test_degenerate_span_rejected(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ConfigError, match="^t_end=0 must exceed t_start=0$"):
             make_grid(0, 0, 5)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ConfigError, match="^t_end=0 must exceed t_start=1$"):
             make_grid(1, 0, 5)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ConfigError, match="^need at least 2 samples, got n=1$"):
             make_grid(0, 1, 1)
 
     def test_sample_positions(self):
@@ -90,7 +90,7 @@ class TestInnerProduct:
     def test_grid_mismatch_rejected(self):
         f = ComplexSignal(make_grid(0, 1, 5), np.ones(5))
         h = ComplexSignal(make_grid(0, 1, 6), np.ones(6))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(SolverError, match="^grids differ: "):
             inner_product(f, h)
 
     def test_self_product_real_nonnegative(self):

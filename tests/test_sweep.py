@@ -19,11 +19,11 @@ from scipy.special import erfcx
 
 import pulsegate
 from pulsegate import twophoton
-from pulsegate import (ComplexSignal, ConfigError, DurationRangeError, GridPolicy,
-                       NoPeakError, NormViolationError, PulseShape, PulseSpec, SolverError,
-                       SystemParams, assemble_outputs, default_grid_for, find_peak_c12,
-                       inner_product, norm_sq, perturbative_extraction,
-                       run_point, sample_pulse, solve_point, solve_spec, sweep)
+from pulsegate import (ComplexSignal, ConfigError, GridPolicy, NoPeakError, PulseShape,
+                       PulseSpec, SolverError, SystemParams, assemble_outputs,
+                       default_grid_for, find_peak_c12, inner_product, norm_sq,
+                       perturbative_extraction, run_point, sample_pulse, solve_point,
+                       solve_spec, sweep)
 from pulsegate.pulses import _builtin_values, _piece_values
 from pulsegate.sweep import _PANEL_DEGREE, _bounded_brent, sweep_durations
 
@@ -73,13 +73,13 @@ class TestRunPoint:
             assert r.c12_sq == pytest.approx(orc.rising_c12_sq(gt), abs=2e-5)
 
     def test_out_of_range_duration_rejected(self):
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match=r"^gamma_t=1e-09 outside the supported range "):
             run_point("gauss", 1e-9)
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match=r"^gamma_t=100000 outside the supported range "):
             run_point("gauss", 1e5)
 
     def test_unknown_shape_rejected(self):
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match="^unknown pulse shape 'sawtooth'; expected one of "):
             run_point("sawtooth", 1.0)
 
     def test_short_pulse_is_nearly_linear(self):
@@ -100,7 +100,7 @@ class TestRunPoint:
 def test_custom_is_refused_by_name(solve, shape):
     # a custom pulse is a PulseSpec with its samples; by name alone there is
     # no pulse to solve, so the name is refused like an unknown one
-    with pytest.raises(DurationRangeError,
+    with pytest.raises(ConfigError,
                        match="expected one of rect, rising-exp, sym-exp, gauss$"):
         solve(shape)
 
@@ -119,11 +119,11 @@ class TestSweep:
         assert [r.gamma_t for r in rows] == pytest.approx([1.0, 1.5, 2.0])
 
     def test_bad_ranges_rejected(self):
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match=r"^need 0 < gt_min < gt_max, got \(1.0, 1.0\)$"):
             sweep("gauss", 1.0, 1.0, 5)
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match=r"^need 0 < gt_min < gt_max, got \(0.0, 1.0\)$"):
             sweep("gauss", 0.0, 1.0, 5)
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match="^need at least 2 sweep points, got 1$"):
             sweep("gauss", 0.1, 10.0, 1)
 
     @pytest.mark.parametrize("log_spaced", [True, False])
@@ -131,7 +131,7 @@ class TestSweep:
         # refused before np.logspace or np.linspace would turn it into nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DurationRangeError, match=r"^gamma_t=inf outside"):
+            with pytest.raises(ConfigError, match=r"^gamma_t=inf outside"):
                 sweep_durations(0.01, math.inf, 5, log_spaced)
 
     def test_mini_sweep_invariants(self):
@@ -229,8 +229,25 @@ class TestFindPeak:
             find_peak_c12("gauss", bracket=(500.0, 1000.0))
 
     def test_bad_bracket_rejected(self):
-        with pytest.raises(DurationRangeError):
+        with pytest.raises(ConfigError, match=r"^bad peak bracket \(5.0, 1.0\)$"):
             find_peak_c12("gauss", bracket=(5.0, 1.0))
+
+    @pytest.mark.parametrize("bracket, edge", [((0.1, math.inf), "inf"),
+                                               ((0.1, 1e5), "100000"),
+                                               ((1e-4, 20.0), "0.0001")],
+                             ids=["to-inf", "to-1e5", "from-1e-4"])
+    def test_bracket_out_of_range_solves_nothing(self, bracket, edge, monkeypatch):
+        # refused on its edge as a sweep's bounds are, before any probe is
+        # solved and before np.logspace could warn or turn inf into nan
+        def never(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(sweep_module, "run_point", never)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^gamma_t={edge} outside the supported "
+                                                  r"range \[0.001, 10000\]$"):
+                find_peak_c12("rect", bracket)
 
 
 def assert_brent_matches_scipy(func, a, b, xatol, maxfun=500):
@@ -591,7 +608,7 @@ class TestStreamedSolve:
     def test_truncated_tail_raises_norm_violation(self):
         # the waveform grid's tail; run_point builds no grid to truncate
         policy = GridPolicy(samples_per_unit=2000, tail=0.5)
-        with pytest.raises(NormViolationError):
+        with pytest.raises(SolverError, match="^linear output norm .* deviates from 1"):
             solve_point("gauss", 1.0, policy)
 
     def test_non_finite_samples_rejected(self, monkeypatch):

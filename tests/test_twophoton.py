@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pulsegate import (ComplexSignal, OutputPair, UnphysicalDecompositionError,
-                       amplitudes, decompose, inner_product, limit_report,
-                       make_grid, norm_sq, solve_point)
+from pulsegate import (ComplexSignal, OutputPair, SolverError, amplitudes, decompose,
+                       inner_product, limit_report, make_grid, norm_sq, solve_point)
 
 import _oracles as orc
 
@@ -75,7 +74,7 @@ class TestC12Sq:
     def test_unphysical_combination_raises(self, base_modes):
         # orthogonal cubic with intensity 1/2: c12_sq = 1 while c11 = 1
         f, g = base_modes
-        with pytest.raises(UnphysicalDecompositionError):
+        with pytest.raises(SolverError, match=r"^c11_sq \+ c12_sq = 2.000000 exceeds 1$"):
             decompose(pair_with(f, g, 0.0, math.sqrt(0.5)))
 
     def test_tiny_negative_clamps_to_zero(self, base_modes):
@@ -85,7 +84,7 @@ class TestC12Sq:
         assert amplitudes(1.0, -0.5, 0.25 - 1e-12)[2] == 0.0
 
     def test_negative_beyond_rounding_raises(self):
-        with pytest.raises(UnphysicalDecompositionError):
+        with pytest.raises(SolverError, match=r"^c12_sq=-2\.000e-09 is negative beyond rounding$"):
             amplitudes(1.0, -0.5, 0.25 - 1e-9)
 
 
@@ -107,7 +106,7 @@ class TestCrSq:
 
     def test_probability_overdraft_raises(self):
         # c11 = 1 with c12_sq = 1
-        with pytest.raises(UnphysicalDecompositionError):
+        with pytest.raises(SolverError, match=r"^c11_sq \+ c12_sq = 2.000000 exceeds 1$"):
             amplitudes(1.0, 0.0, 0.5)
 
     def test_rounding_noise_clamped(self):
