@@ -40,6 +40,8 @@ from .errors import SolverError
 from .signal import ComplexSignal, TimeGrid
 
 _Z_SERIES_CUTOFF = 1e-2
+# drive nodes full_bloch converts to Python scalars and steps at a time
+_RK4_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -221,15 +223,17 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
 
     The loop steps v = <s->/i, in Python floats when b_in and alpha are
     both real (so then is v) and in complexes otherwise. Multiplying by i
-    is exact, so each stage rounds as the same step of <s-> does.
+    is exact, so each stage rounds as the same step of <s-> does. The
+    drive is converted to Python scalars and stepped _RK4_CHUNK nodes at a
+    time, so no list or index array spans the whole drive.
 
     The RK4 loop stops at the node after the last one where alpha*b_in is
     nonzero. From there on every step is undriven and linear: it multiplies
     v by R(-Gamma dt) and <sz> + 1/2 by R(-2 Gamma dt), where
     R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24 is RK4's own amplification
-    factor, not exp(h). The free decay is filled in as those powers, so
-    the oracle stays independent of the chain's exact exponential ringdown
-    and matches stepping to rounding.
+    factor, not exp(h). The free decay is filled in place as those powers,
+    so the oracle stays independent of the chain's exact exponential
+    ringdown and matches stepping to rounding.
     """
     dt = b_in.grid.dt
     n = b_in.grid.n
@@ -239,55 +243,67 @@ def full_bloch(b_in: ComplexSignal, alpha: complex,
     # so every rounding matches the same step taken in numpy scalars.
     g = float(params.gamma)
     ng, m2g, r2 = -g, -2 * g, 2 * math.sqrt(2 * g)
-    zb, last = _scaled_drive(b_in.values, complex(alpha))
+    values, a = b_in.values, complex(alpha)
+    # the last driven node, searched a chunk at a time from the grid's end
+    last = next((lo + k for lo in reversed(range(0, n, _RK4_CHUNK))
+                 if (k := _scaled_drive(values[lo:lo + _RK4_CHUNK], a)[1]) >= 0), -1)
     m = min(last + 1, n - 1)   # the loop computes nodes 1..m
 
-    kind = type(zb[0])         # float or complex, the drive's own type
+    d0 = _scaled_drive(values[:1], a)[0][0]
+    kind = type(d0)            # float or complex, the drive's own type
     vs = np.empty(n, dtype=kind)
     sz = np.empty(n)
     v, z = kind(), -0.5
     vs[0], sz[0] = v, z
     half = 0.5 * dt
     sixth = dt / 6.0
-    d1 = zb[0]
-    c1 = r2 * d1
-    for k in range(m):
-        d0, c0 = d1, c1
-        d1 = zb[k + 1]
-        c1 = r2 * d1
-        dm = 0.5 * (d0 + d1)
-        cm = r2 * dm
-        k1v = ng * v - c0 * z
-        k1z = m2g * (z + 0.5) + r2 * (d0 * v.conjugate()).real
-        v2 = v + half * k1v
-        z2 = z + half * k1z
-        k2v = ng * v2 - cm * z2
-        k2z = m2g * (z2 + 0.5) + r2 * (dm * v2.conjugate()).real
-        v3 = v + half * k2v
-        z3 = z + half * k2z
-        k3v = ng * v3 - cm * z3
-        k3z = m2g * (z3 + 0.5) + r2 * (dm * v3.conjugate()).real
-        v4 = v + dt * k3v
-        z4 = z + dt * k3z
-        k4v = ng * v4 - c1 * z4
-        k4z = m2g * (z4 + 0.5) + r2 * (d1 * v4.conjugate()).real
-        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-        z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
-        if abs(z) > 0.5 + 1e-6:
-            raise _left_sphere(b_in.grid, k + 1, z, alpha)
-        vs[k + 1] = v
-        sz[k + 1] = z
+    c0 = r2 * d0
+    for lo in range(1, m + 1, _RK4_CHUNK):
+        vc, zc = [], []
+        vput, zput = vc.append, zc.append
+        for d1 in _scaled_drive(values[lo:min(lo + _RK4_CHUNK, m + 1)], a)[0]:
+            c1 = r2 * d1
+            dm = 0.5 * (d0 + d1)
+            cm = r2 * dm
+            k1v = ng * v - c0 * z
+            k1z = m2g * (z + 0.5) + r2 * (d0 * v.conjugate()).real
+            v2 = v + half * k1v
+            z2 = z + half * k1z
+            k2v = ng * v2 - cm * z2
+            k2z = m2g * (z2 + 0.5) + r2 * (dm * v2.conjugate()).real
+            v3 = v + half * k2v
+            z3 = z + half * k2z
+            k3v = ng * v3 - cm * z3
+            k3z = m2g * (z3 + 0.5) + r2 * (dm * v3.conjugate()).real
+            v4 = v + dt * k3v
+            z4 = z + dt * k3z
+            k4v = ng * v4 - c1 * z4
+            k4z = m2g * (z4 + 0.5) + r2 * (d1 * v4.conjugate()).real
+            v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+            z = z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z)
+            if abs(z) > 0.5 + 1e-6:
+                raise _left_sphere(b_in.grid, lo + len(zc), z, alpha)
+            vput(v)
+            zput(z)
+            d0, c0 = d1, c1
+        vs[lo:lo + len(vc)], sz[lo:lo + len(zc)] = vc, zc
 
     if m < n - 1:
-        steps = np.arange(1, n - m)
+        steps = np.arange(1.0, n - m)
+        tz, tv = sz[m + 1:], vs[m + 1:]
+        tz[:], tv[:] = z, v
         # a ground state is kept as such: where R**steps overflows,
         # 0 * inf would turn it into nan
         with np.errstate(over="ignore", invalid="ignore"):
-            sz[m + 1:] = -0.5 + (z + 0.5) * _rk4_factor(m2g * dt) ** steps if z != -0.5 else z
-            vs[m + 1:] = v * _rk4_factor(ng * dt) ** steps if v else v
-        bad = np.flatnonzero(np.abs(sz[m + 1:]) > 0.5 + 1e-6)
-        if len(bad):
-            node = m + 1 + int(bad[0])
+            if z != -0.5:
+                np.power(_rk4_factor(m2g * dt), steps, out=tz)
+                tz *= z + 0.5
+                tz += -0.5
+            if v:
+                np.multiply(v, np.power(_rk4_factor(ng * dt), steps, out=steps), out=tv)
+        bad = np.abs(tz, out=steps) > 0.5 + 1e-6
+        if bad.any():
+            node = m + 1 + int(bad.argmax())
             raise _left_sphere(b_in.grid, node, float(sz[node]), alpha)
     return FullBlochState(ComplexSignal(b_in.grid, vs), sz, complex(alpha))
 
@@ -300,9 +316,9 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
     nonlinear runs, independently of the perturbative chain.
 
     For each amplitude a_k the full Bloch output b_out = a b_in -
-    sqrt(2 Gamma) v, v = <s->/i, is computed (real for a real b_in), then
-    b_out(a) = a b1 + a^3 b3 is fitted per time sample by least squares
-    over the amplitude set, in one product with the design's pseudo-inverse.
+    sqrt(2 Gamma) v, v = <s->/i, goes into row k of one array (real for a
+    real b_in), then b_out(a) = a b1 + a^3 b3 is fitted per time sample by
+    least squares over the amplitudes, in one product with the pseudo-inverse.
     With deflate_fifth_order an a^5 column is added (and discarded), which
     removes the leading truncation bias of the two-term model (~alpha^2
     relative, a few 1e-3 at the default amplitude set) from the b3
@@ -317,8 +333,11 @@ def perturbative_extraction(b_in: ComplexSignal, params: SystemParams,
         raise SolverError(
             f"amplitudes must lie in (0, 0.1] for a clean cubic fit, got {alphas}")
     rt2g = np.sqrt(2 * params.gamma)
-    outs = [a * b_in.values - rt2g * full_bloch(b_in, a, params).v.values for a in alphas]
+    rows = np.empty((len(alphas), b_in.grid.n), dtype=b_in.values.dtype)
+    for a, row in zip(alphas, rows):
+        np.multiply(a, b_in.values, out=row)
+        row -= rt2g * full_bloch(b_in, a, params).v.values
     design = np.array([[a, a**3, a**5][:n_cols] for a in alphas])
     fit = np.linalg.lstsq(design, np.eye(len(alphas)), rcond=None)[0]  # lstsq's rank rule
-    b1, b3 = fit[:2] @ np.asarray(outs)
+    b1, b3 = fit[:2] @ rows
     return ComplexSignal(b_in.grid, b1), ComplexSignal(b_in.grid, b3)

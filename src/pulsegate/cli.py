@@ -99,7 +99,8 @@ def _write_atomic(*files: tuple[Path, Iterable[bytes]]) -> None:
         for path, chunks in files:
             if path.is_dir():
                 raise ConfigError(f"cannot write {path}: Is a directory")
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if not path.parent.exists():    # a file there fails os.open below with ENOTDIR
+                path.parent.mkdir(parents=True, exist_ok=True)
             tmp = f"{path}.{os.urandom(8).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)

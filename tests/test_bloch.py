@@ -300,6 +300,71 @@ class TestFullBlochAgainstStepping:
         assert np.max(np.abs(s[m:] - s_ref[m:]), initial=0) <= 1e-13 * np.max(np.abs(s_ref))
         assert np.max(np.abs(new.sigma_z[m:] - ref.sigma_z[m:]), initial=0) <= 1e-13
 
+    C = bloch._RK4_CHUNK
+
+    @staticmethod
+    def drive_through(last, n, complex_pulse):
+        # a smooth pulse, nonzero on nodes 0..last and zero after, at dt = 1e-3
+        g = make_grid(0.0, (n - 1) * 1e-3, n)
+        t = g.times()
+        b = np.exp(-((t - 6.0) / 4.0) ** 2) * (np.exp(1j * t) if complex_pulse else 1.0)
+        b[last + 1:] = 0.0
+        return ComplexSignal(g, b)
+
+    # the loop steps nodes [1 + jC, 1 + (j + 1)C): the last driven node
+    # before chunk 2's last node (the loop ends on it), on it, or on
+    # chunk 3's first node
+    @pytest.mark.parametrize("last", [3 * C - 1, 3 * C, 3 * C + 1])
+    @pytest.mark.parametrize("complex_pulse", [False, True], ids=["real", "complex"])
+    def test_chunk_edges_stay_bitwise(self, last, complex_pulse):
+        # the grid ends on the node after the last driven one: every node is
+        # stepped, so the whole trajectory is stepping's, bit for bit
+        b = self.drive_through(last, last + 2, complex_pulse)
+        alpha = 0.3 * np.exp(0.4j) if complex_pulse else 0.3
+        new, ref = full_bloch(b, alpha), orc.rk4_full_bloch(b, alpha)
+        assert new.v.values.tobytes() == ref.v.values.tobytes()
+        assert new.sigma_z.tobytes() == ref.sigma_z.tobytes()
+
+    @pytest.mark.parametrize("last", [3 * C - 1, 3 * C])
+    @pytest.mark.parametrize("complex_pulse", [False, True], ids=["real", "complex"])
+    def test_last_driven_node_found_across_chunks(self, last, complex_pulse):
+        # the search reads nodes [jC, (j + 1)C) from the grid's end: over 5C
+        # nodes it passes a whole undriven chunk, then finds the last driven
+        # node on a chunk's last node or on the next chunk's first node
+        b = self.drive_through(last, 5 * self.C, complex_pulse)
+        self.check(b, 0.3 * np.exp(0.4j) if complex_pulse else 0.3)
+
+    def test_leaving_the_sphere_in_a_later_chunk_raises_as_stepping_does(self):
+        # a weak drive for 2.5 chunks, then one far too strong for the step
+        n, jump = 4 * self.C, 5 * self.C // 2
+        b = self.drive_through(n - 1, n, False)
+        b = ComplexSignal(b.grid, np.where(np.arange(n) < jump, b.values, 1e4))
+        msgs = []
+        for f in (full_bloch, orc.rk4_full_bloch):
+            with pytest.raises(SolverError, match="left the Bloch sphere") as err:
+                f(b, 0.3)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1]
+        t = float(msgs[0].split("at t=")[1].split(";")[0])
+        assert t >= jump * 1e-3
+
+    def test_converts_the_drive_a_chunk_at_a_time(self, monkeypatch):
+        # driven to the grid's last node, about 10 chunks long: no list of
+        # Python scalars spans more than a chunk
+        n = 10 * self.C + 5
+        b = self.drive_through(n - 1, n, False)
+        lengths = []
+
+        def recording(v, a):
+            lengths.append(len(v))
+            return _scaled_drive(v, a)
+
+        monkeypatch.setattr(bloch, "_scaled_drive", recording)
+        state = full_bloch(b, 0.3)
+        assert max(lengths) <= self.C
+        assert sum(lengths) >= n
+        assert state.v.values.tobytes() == orc.rk4_full_bloch(b, 0.3).v.values.tobytes()
+
     def test_unstable_free_decay_raises_as_stepping_does(self):
         # dt = 2: RK4 multiplies <sz> + 1/2 by R(-4) = 5 per undriven step
         g = make_grid(-2.0, 40.0, 22)
@@ -404,6 +469,26 @@ class TestAmplitudeFit:
         assert np.iscomplexobj(e1.values) == complex_pulse
         for est, ref in ((e1, b1), (e3, b3)):
             assert np.linalg.norm(est.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("deflate", [False, True], ids=["two-term", "deflated"])
+    @pytest.mark.parametrize("complex_pulse", [False, True], ids=["real", "complex"])
+    def test_rows_are_the_outputs_bit_for_bit(self, complex_pulse, deflate):
+        # the rows written in place are a*b - sqrt(2)*v as a list of arrays
+        # would hold them, for a float64 and a complex128 pulse alike
+        if complex_pulse:
+            b = _complex_custom_pulse()
+        else:
+            b, _ = pulse_and_grid(PulseSpec.gaussian, 1.0, GridPolicy(samples_per_unit=400))
+        e1, e3 = perturbative_extraction(b, SystemParams(), self.ALPHAS,
+                                         deflate_fifth_order=deflate)
+        outs = np.asarray([a * b.values - np.sqrt(2) * full_bloch(b, a).v.values
+                           for a in self.ALPHAS])
+        design = np.array([[a, a**3, a**5][:3 if deflate else 2] for a in self.ALPHAS])
+        fit = np.linalg.lstsq(design, np.eye(len(self.ALPHAS)), rcond=None)[0]
+        b1, b3 = fit[:2] @ outs
+        assert e1.values.dtype == b.values.dtype
+        assert e1.values.tobytes() == b1.tobytes()
+        assert e3.values.tobytes() == b3.tobytes()
 
     def test_matches_lstsq_on_the_outputs_at_a_peak(self, monkeypatch):
         # rect at its peak on criterion 8's grid: the pseudo-inverse applied

@@ -596,20 +596,21 @@ class TestExitCodes:
                "peak": (["peak", "--shape", "rect"], ""),
                "modes": (["modes", "--shape", "rect", "--gamma-t", "1", *FAST], "")}
 
-    @pytest.mark.parametrize("blocker", ["under-a-file", "a-directory"])
+    @pytest.mark.parametrize("blocker", ["under-a-file", "under-a-file-subdir", "a-directory"])
     @pytest.mark.parametrize("command", WRITERS)
     def test_unwritable_out_exits_2(self, command, blocker, tmp_path, capsys):
+        # a file where a directory should be is named as such, however deep
         argv, suffix = self.WRITERS[command]
-        if blocker == "under-a-file":
+        if blocker.startswith("under-a-file"):
             (tmp_path / "afile").write_text("")
-            out = tmp_path / "afile" / "x"
+            out = tmp_path / "afile" / ("sub/x" if blocker.endswith("subdir") else "x")
+            reason = "Not a directory"
         else:
             out = tmp_path / "adir"
             (tmp_path / f"adir{suffix}").mkdir()
+            reason = "Is a directory"
         assert run(*argv, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {out}{suffix}: ")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}{suffix}: {reason}\n"
         assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
